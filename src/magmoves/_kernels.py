@@ -1,41 +1,32 @@
-"""Exhaustive MAG enumeration kernels.
+"""Exhaustive MAG enumeration kernel.
 
 Every node pair takes one of four states (absent, either direction, or
-bi-directed), so a graph on n nodes is a base-4 code over n(n-1)/2 pairs.
-Sweeping all codes at n = 5 touches 4**10 candidates, the one loop in the
-package worth compiling.  The jitted scalar kernel is the default; set
-``MAGMOVES_NO_NUMBA=1`` (or run without numba installed) to use the
-vectorized numpy fallback instead.  Both return the same sorted code array.
+bi-directed), so a graph on n nodes is a base-4 code over n(n-1)/2 pairs:
+state ``s`` of pair ``p`` sits in bits ``2p, 2p+1``, with 1 for ``u -> v``,
+2 for ``v -> u`` and 3 for ``u <-> v`` on the pair ``(u, v)``, ``u < v``.
 
-Mark matrix convention: ``E[i, j]`` is the mark at ``j`` on the (i, j) edge,
-0 none, 1 arrowhead, 2 tail.  So ``i -> j`` sets ``E[i, j] = 1`` and
-``E[j, i] = 2``; ``i <-> j`` sets both to 1.
+The scan runs the same bitmask test as :func:`magmoves.graph.is_mag`,
+vectorised over blocks of codes: one uint8 row array per node for its
+parents, children and spouses, a Warshall closure for ancestors, then a
+bi-directed reachability sweep for each non-adjacent pair.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "USING_NUMBA",
     "enumerate_mag_codes",
-    "mag_codes_jit",
     "mag_codes_numpy",
     "pair_list",
 ]
 
-_FLAG = os.environ.get("MAGMOVES_NO_NUMBA", "").strip()
-if _FLAG not in ("", "0"):
-    USING_NUMBA = False
-else:
-    try:
-        from numba import njit
+# There is no compiled backend; the constant stays for callers that report
+# which backend produced a result.
+USING_NUMBA = False
 
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
+_CHUNK = 1 << 16
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -43,169 +34,59 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _fill_matrix(code, pu, pv, E):
-    for p in range(pu.shape[0]):
-        s = (code >> (2 * p)) & 3
-        u = pu[p]
-        v = pv[p]
-        if s == 0:
-            E[u, v] = 0
-            E[v, u] = 0
-        elif s == 1:
-            E[u, v] = 1
-            E[v, u] = 2
-        elif s == 2:
-            E[u, v] = 2
-            E[v, u] = 1
-        else:
-            E[u, v] = 1
-            E[v, u] = 1
+def _spread(rows: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
+    # Union of rows[w] over the nodes w set in each entry of ``mask``.
+    out = np.zeros_like(mask)
+    for w, row in enumerate(rows):
+        out |= row & -((mask >> w) & 1)
+    return out
 
 
-def _is_mag_matrix(E, anc, reach, stack):
-    n = E.shape[0]
-    for i in range(n):
-        for j in range(n):
-            anc[i, j] = i == j or (E[i, j] == 1 and E[j, i] == 2)
+def _is_mag_block(n: int, codes: np.ndarray) -> np.ndarray:
+    zero = np.zeros(codes.shape[0], np.uint8)
+    pa = [zero.copy() for _ in range(n)]
+    ch = [zero.copy() for _ in range(n)]
+    sp = [zero.copy() for _ in range(n)]
+    adjacent = {}
+    for p, (u, v) in enumerate(pair_list(n)):
+        s = ((codes >> (2 * p)) & 3).astype(np.uint8)
+        fwd = -(s == 1).view(np.uint8)  # 0xff where u -> v
+        rev = -(s == 2).view(np.uint8)
+        bi = -(s == 3).view(np.uint8)
+        ch[u] |= fwd & (1 << v)
+        pa[v] |= fwd & (1 << u)
+        ch[v] |= rev & (1 << u)
+        pa[u] |= rev & (1 << v)
+        sp[u] |= bi & (1 << v)
+        sp[v] |= bi & (1 << u)
+        adjacent[u, v] = s != 0
+    an = [pa[x] | (1 << x) for x in range(n)]
     for k in range(n):
-        for i in range(n):
-            if anc[i, k]:
-                for j in range(n):
-                    if anc[k, j]:
-                        anc[i, j] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if E[i, j] == 1 and E[j, i] == 2 and anc[j, i]:
-                return False  # directed cycle through i -> j
-            if E[i, j] == 2 and E[j, i] == 1 and anc[i, j]:
-                return False
-            if E[i, j] == 1 and E[j, i] == 1 and (anc[i, j] or anc[j, i]):
-                return False  # ancestor across a bi-directed edge
+        for x in range(n):
+            an[x] |= an[k] & -((an[x] >> k) & 1)
+    ok = np.ones(codes.shape[0], bool)
     for x in range(n):
-        for y in range(x + 1, n):
-            if E[x, y] != 0:
-                continue
-            # inducing path hunt: arrowhead out of x, bi-directed hops
-            # through ancestors of x or y, arrowhead back from y
-            top = 0
-            for w in range(n):
-                reach[w] = False
-            for w in range(n):
-                if w != x and w != y and (anc[w, x] or anc[w, y]) and E[x, w] == 1:
-                    reach[w] = True
-                    stack[top] = w
-                    top += 1
-            while top > 0:
-                top -= 1
-                w = stack[top]
-                if E[y, w] == 1:
-                    return False
-                for v in range(n):
-                    if (
-                        not reach[v]
-                        and v != x
-                        and v != y
-                        and (anc[v, x] or anc[v, y])
-                        and E[w, v] == 1
-                        and E[v, w] == 1
-                    ):
-                        reach[v] = True
-                        stack[top] = v
-                        top += 1
-    return True
-
-
-def _scan_codes(n, pu, pv):
-    total = 1 << (2 * pu.shape[0])
-    out = np.empty(total, np.int64)
-    count = 0
-    E = np.zeros((n, n), np.uint8)
-    anc = np.zeros((n, n), np.bool_)
-    reach = np.zeros(n, np.bool_)
-    stack = np.zeros(n, np.int64)
-    for code in range(total):
-        _fill_matrix(code, pu, pv, E)
-        if _is_mag_matrix(E, anc, reach, stack):
-            out[count] = code
-            count += 1
-    return out[:count]
-
-
-if USING_NUMBA:
-    _fill_matrix = njit(cache=True)(_fill_matrix)
-    _is_mag_matrix = njit(cache=True)(_is_mag_matrix)
-    _scan_codes = njit(cache=True)(_scan_codes)
-
-
-def mag_codes_jit(n: int) -> np.ndarray:
-    """Sorted MAG codes via the jitted scalar kernel."""
-    if not USING_NUMBA:
-        raise RuntimeError("numba path is disabled or unavailable")
-    pairs = pair_list(n)
-    pu = np.array([p[0] for p in pairs], np.int64)
-    pv = np.array([p[1] for p in pairs], np.int64)
-    return _scan_codes(n, pu, pv)
-
-
-_CHUNK = 1 << 16
-
-
-def _is_mag_batch(E: np.ndarray) -> np.ndarray:
-    b, n, _ = E.shape
-    Et = E.transpose(0, 2, 1)
-    D = (E == 1) & (Et == 2)
-    Bi = (E == 1) & (Et == 1)
-    eye = np.eye(n, dtype=bool)
-    anc = D | eye
-    for _ in range(max(1, int(np.ceil(np.log2(n))) if n > 1 else 1)):
-        anc = (anc.astype(np.uint8) @ anc.astype(np.uint8)) > 0
-    ancT = anc.transpose(0, 2, 1)
-    cyc = (D & ancT).any(axis=(1, 2))
-    bi_bad = (Bi & (anc | ancT) & ~eye).any(axis=(1, 2))
-    ok = ~(cyc | bi_bad)
-    for x in range(n):
-        for y in range(x + 1, n):
-            nonadj = E[:, x, y] == 0
-            if not nonadj.any():
-                continue
-            allowed = anc[:, :, x] | anc[:, :, y]
-            allowed[:, x] = False
-            allowed[:, y] = False
-            reach = (E[:, x, :] == 1) & allowed
-            for _ in range(n):
-                step = (
-                    np.einsum("bw,bwv->bv", reach.astype(np.uint8), Bi.astype(np.uint8))
-                    > 0
-                )
-                reach = reach | (step & allowed)
-            inducing = (reach & (E[:, y, :] == 1)).any(axis=1)
-            ok &= ~(nonadj & inducing)
+        # a proper ancestor that is also a child (cycle) or a spouse
+        ok &= (an[x] & ~np.uint8(1 << x) & (ch[x] | sp[x])) == 0
+    head = [ch[x] | sp[x] for x in range(n)]  # arrowhead at the far end
+    for (x, y), adj in adjacent.items():
+        allowed = (an[x] | an[y]) & ~np.uint8((1 << x) | (1 << y))
+        reach = head[x] & allowed
+        for _ in range(n - 3):
+            reach |= _spread(sp, reach) & allowed
+        ok &= adj | ((reach & head[y]) == 0)
     return ok
-
-
-def mag_codes_numpy(n: int) -> np.ndarray:
-    """Sorted MAG codes via the vectorized numpy fallback."""
-    pairs = pair_list(n)
-    m = len(pairs)
-    total = 1 << (2 * m)
-    kept = []
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        E = np.zeros((codes.shape[0], n, n), np.uint8)
-        for p, (u, v) in enumerate(pairs):
-            s = (codes >> (2 * p)) & 3
-            E[s == 1, u, v] = 1
-            E[s == 1, v, u] = 2
-            E[s == 2, u, v] = 2
-            E[s == 2, v, u] = 1
-            E[s == 3, u, v] = 1
-            E[s == 3, v, u] = 1
-        kept.append(codes[_is_mag_batch(E)])
-    return np.concatenate(kept)
 
 
 def enumerate_mag_codes(n: int) -> np.ndarray:
     """Sorted array of every pair-state code that decodes to a MAG."""
-    if USING_NUMBA:
-        return mag_codes_jit(n)
-    return mag_codes_numpy(n)
+    total = 1 << (2 * len(pair_list(n)))
+    kept = []
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        kept.append(codes[_is_mag_block(n, codes)])
+    return np.concatenate(kept)
+
+
+# Former name of the kernel entry point.
+mag_codes_numpy = enumerate_mag_codes

@@ -14,6 +14,7 @@ import sys
 from . import enumeration
 from .errors import InputError
 from .graph import (
+    EdgeKind,
     Mag,
     MixedGraph,
     bidirected_ancestry_witness,
@@ -61,7 +62,7 @@ def _emit_graph(g: MixedGraph, fmt: str) -> None:
     else:
         print("nodes: " + ", ".join(g.labels))
         for e in g.edges:
-            arrow = "->" if e.kind.value == "directed" else "<->"
+            arrow = "->" if e.kind is EdgeKind.DIRECTED else "<->"
             print(f"{g.labels[e.u]} {arrow} {g.labels[e.v]}")
 
 

@@ -8,12 +8,24 @@ desk scale: node counts up to five.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from . import _kernels
 from .errors import InputError
-from .graph import Mag, MixedGraph, bidirected, directed, is_mag, iter_bits
+from .graph import (
+    EdgeKind,
+    Mag,
+    MixedGraph,
+    _check_labels,
+    bidirected,
+    directed,
+    is_mag,
+    iter_bits,
+)
 from .equivalence import markov_equivalent, markov_equivalent_bruteforce
 from .separation import separation_signature
 from .transform import (
@@ -46,49 +58,99 @@ __all__ = [
 PRACTICAL_MAX_N = 5
 
 
+@functools.lru_cache(maxsize=None)
+def _code_table(n: int) -> tuple[tuple[str, ...], tuple, np.ndarray]:
+    # Everything decoding needs at one node count: the default labels; per
+    # pair position, the (pair, token, tail, tail bit, head, head bit) of
+    # states 1..3 (bi-directed edges run tail u to head v too); and the
+    # rank of each state's token among all tokens in string order, 255 for
+    # an absent edge.
+    rows = []
+    for u, v in _kernels.pair_list(n):
+        bu, bv = 1 << u, 1 << v
+        rows.append(
+            (
+                None,
+                ((u, v), f"{u}>{v}", u, bu, v, bv),
+                ((u, v), f"{v}>{u}", v, bv, u, bu),
+                ((u, v), f"{u}<>{v}", u, bu, v, bv),
+            )
+        )
+    order = sorted(st[1] for row in rows for st in row[1:])
+    ranks = np.array(
+        [[255] + [order.index(st[1]) for st in row[1:]] for row in rows],
+        np.uint8,
+    ).reshape(-1, 4)
+    return tuple(f"V{i}" for i in range(n)), tuple(rows), ranks
+
+
 def graph_from_pair_code(
     n: int, code: int, labels: Iterable[str] | None = None
 ) -> MixedGraph:
     """Decode a base-4 pair-state code (see :mod:`magmoves._kernels`)."""
-    edges = []
-    for p, (u, v) in enumerate(_kernels.pair_list(n)):
-        s = (code >> (2 * p)) & 3
-        if s == 1:
-            edges.append(directed(u, v))
-        elif s == 2:
-            edges.append(directed(v, u))
-        elif s == 3:
-            edges.append(bidirected(u, v))
-    return MixedGraph(n, edges, labels=labels)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InputError(f"node count must be a non-negative integer, got {n!r}")
+    default, rows, _ = _code_table(n)
+    pairs = {}
+    pa = [0] * n
+    ch = [0] * n
+    sp = [0] * n
+    toks = [str(n)]
+    for row in rows:
+        s = code & 3
+        code >>= 2
+        if s:
+            pair, tok, a, abit, b, bbit = row[s]
+            pairs[pair] = s  # the graph's pair marks are these pair states
+            toks.append(tok)
+            if s == 3:
+                sp[a] |= bbit
+                sp[b] |= abit
+            else:
+                ch[a] |= bbit
+                pa[b] |= abit
+    toks[1:] = sorted(toks[1:])
+    return MixedGraph._trusted(
+        n,
+        default if labels is None else _check_labels(n, labels),
+        pairs,
+        pa,
+        ch,
+        sp,
+        ";".join(toks),
+    )
 
 
-def _key_from_pair_code(n: int, code: int) -> str:
-    toks = []
-    for p, (u, v) in enumerate(_kernels.pair_list(n)):
-        s = (code >> (2 * p)) & 3
-        if s == 1:
-            toks.append(f"{u}>{v}")
-        elif s == 2:
-            toks.append(f"{v}>{u}")
-        elif s == 3:
-            toks.append(f"{u}<>{v}")
-    return ";".join([str(n)] + sorted(toks))
+def _canonical_order(n: int, codes: np.ndarray) -> np.ndarray:
+    # Permutation sorting ``codes`` by canonical key.  No token is a prefix
+    # of another, so keys compare as their sorted token sequences, a key
+    # that runs out first being smaller: that is the order of the sorted
+    # token ranks, shifted up by one and padded with 0 at the end.
+    _, _, ranks = _code_table(n)
+    m = ranks.shape[0]
+    seq = np.empty((codes.shape[0], m), np.uint8)
+    for p in range(m):
+        seq[:, p] = ranks[p][(codes >> (2 * p)) & 3]
+    seq.sort(axis=1)
+    seq += 1  # absent edges wrap from 255 to 0
+    return np.lexsort((codes, *seq.T[::-1]))  # the last key sorts first
 
 
 def enumerate_mags(n: int) -> Iterator[Mag]:
     """All MAGs on ``n`` unlabeled nodes, streamed in canonical-key order.
 
-    Each emitted graph passes full validation again on construction,
-    independent of the kernel that produced its code.
+    Each emitted graph is checked again with :func:`is_mag`, independent of
+    the kernel that produced its code; one that fails raises
+    :class:`NotAMagError` naming the witness.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= PRACTICAL_MAX_N:
         raise InputError(
             f"node count must be between 1 and {PRACTICAL_MAX_N}, got {n!r}"
         )
     codes = _kernels.enumerate_mag_codes(n)
-    keyed = sorted((_key_from_pair_code(n, int(c)), int(c)) for c in codes)
-    for _, code in keyed:
-        yield Mag(graph_from_pair_code(n, code))
+    for code in codes[_canonical_order(n, codes)].tolist():
+        g = graph_from_pair_code(n, code)
+        yield Mag._trusted(g) if is_mag(g) else Mag(g)
 
 
 @dataclass(frozen=True)
@@ -250,7 +312,7 @@ def _delta_edge_blanketed(m1: Mag, m2: Mag, edge) -> bool:
     # against one of its endpoints where bi-directed.
     for m in (m1, m2):
         e = m.graph.edge_between(edge.u, edge.v)
-        if e.kind.value == "directed":
+        if e.kind is EdgeKind.DIRECTED:
             if is_blanketed_directed(m, e.u, e.v):
                 return True
         else:
@@ -341,7 +403,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
     necessary_viol = []
     for m in mags:
         for e in m.edges:
-            if e.kind.value != "directed":
+            if e.kind is not EdgeKind.DIRECTED:
                 continue
             flipped = m.graph.with_edge(bidirected(e.u, e.v))
             if not is_mag(flipped):
@@ -364,7 +426,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
     reverse_viol = []
     for m in mags:
         for e in m.edges:
-            if e.kind.value != "directed":
+            if e.kind is not EdgeKind.DIRECTED:
                 continue
             reverse_cases += 1
             swapped = m.graph.with_edge(directed(e.v, e.u))
@@ -380,11 +442,11 @@ def verify_theorems(n: int) -> EquivalenceReport:
     lemma1_viol = []
     for m in mags:
         for e in m.edges:
-            oriented = (
-                [(e.u, e.v)] if e.kind.value == "directed" else [(e.u, e.v), (e.v, e.u)]
-            )
+            oriented = [(e.u, e.v)]
+            if e.kind is not EdgeKind.DIRECTED:
+                oriented.append((e.v, e.u))
             for x, y in oriented:
-                if e.kind.value == "directed":
+                if e.kind is EdgeKind.DIRECTED:
                     ok = is_blanketed_directed(m, x, y)
                 else:
                     ok = is_blanketed_bidirected_against(m, x, y)
@@ -401,7 +463,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
     lemma2_viol = []
     for m in mags:
         for e in m.edges:
-            if e.kind.value != "directed":
+            if e.kind is not EdgeKind.DIRECTED:
                 continue
             if not is_screened(m, e.u, e.v):
                 continue

@@ -39,7 +39,8 @@ __all__ = [
     "format_path",
 ]
 
-# Pair-mark codes for the internal dict keyed by (i, j) with i < j.
+# Pair-mark codes for the internal dict keyed by (i, j) with i < j; they
+# equal the pair states of enumeration codes (see magmoves._kernels).
 _FWD = 1  # i -> j
 _REV = 2  # j -> i
 _BI = 3  # i <-> j
@@ -99,6 +100,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_labels(n: int, labels: Iterable[str] | None) -> tuple[str, ...]:
+    """The node labels as a tuple, ``V0..V{n-1}`` by default; raises unless
+    there are ``n`` distinct ones."""
+    if labels is None:
+        return tuple(f"V{i}" for i in range(n))
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise InputError(f"expected {n} labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        raise InputError("node labels must be distinct")
+    return labels
+
+
 class MixedGraph:
     """Immutable mixed graph over nodes ``0..n-1``.
 
@@ -128,19 +142,10 @@ class MixedGraph:
         edges: Iterable[Edge] = (),
         labels: Iterable[str] | None = None,
     ) -> None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise InputError(f"node count must be non-negative, got {n}")
-        self.n = n
-        if labels is None:
-            self.labels = tuple(f"V{i}" for i in range(n))
-        else:
-            self.labels = tuple(labels)
-            if len(self.labels) != n:
-                raise InputError(
-                    f"expected {n} labels, got {len(self.labels)}"
-                )
-            if len(set(self.labels)) != n:
-                raise InputError("node labels must be distinct")
         pairs: dict[tuple[int, int], int] = {}
         pa = [0] * n
         ch = [0] * n
@@ -149,6 +154,8 @@ class MixedGraph:
             if not isinstance(e, Edge):
                 raise InputError(f"expected an Edge, got {e!r}")
             u, v = e.u, e.v
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) references an unknown node")
             key = e.pair
@@ -164,14 +171,36 @@ class MixedGraph:
                 pairs[key] = _BI
                 sp[u] |= 1 << v
                 sp[v] |= 1 << u
+        self._adopt(n, _check_labels(n, labels), pairs, pa, ch, sp, None)
+
+    @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        labels: tuple[str, ...],
+        pairs: dict[tuple[int, int], int],
+        pa: list[int],
+        ch: list[int],
+        sp: list[int],
+        key: str | None,
+    ) -> "MixedGraph":
+        # For callers that built consistent rows themselves: no checks, and
+        # ``key`` (when given) must be the graph's canonical key.
+        g = object.__new__(cls)
+        g._adopt(n, labels, pairs, pa, ch, sp, key)
+        return g
+
+    def _adopt(self, n, labels, pairs, pa, ch, sp, key) -> None:
+        self.n = n
+        self.labels = labels
         self._pairs = pairs
         self._pa = pa
         self._ch = ch
         self._sp = sp
-        self._adj = [pa[i] | ch[i] | sp[i] for i in range(n)]
+        self._adj = [a | c | s for a, c, s in zip(pa, ch, sp)]
         self._an: list[int | None] = [None] * n
         self._skel: frozenset[tuple[int, int]] | None = None
-        self._key: str | None = None
+        self._key = key
         self._hash: int | None = None
         self._sig: int | None = None
         self._uc: frozenset[tuple[int, int, int]] | None = None
@@ -270,17 +299,24 @@ class MixedGraph:
     def ancestor_mask(self, x: int) -> int:
         """Bitmask of ancestors of ``x`` (every node with a directed path to
         ``x``, including ``x`` itself)."""
-        cached = self._an[x]
+        an = self._an
+        cached = an[x]
         if cached is not None:
             return cached
+        pa = self._pa
         seen = 1 << x
-        stack = [x]
-        while stack:
-            w = stack.pop()
-            fresh = self._pa[w] & ~seen
-            seen |= fresh
-            stack.extend(iter_bits(fresh))
-        self._an[x] = seen
+        todo = pa[x]
+        while todo:
+            low = todo & -todo
+            w = low.bit_length() - 1
+            known = an[w]
+            if known is None:
+                seen |= low
+                todo |= pa[w]
+            else:
+                seen |= known  # a cached set is already closed under parents
+            todo &= ~seen
+        an[x] = seen
         return seen
 
     # -- structure helpers -------------------------------------------------
@@ -430,18 +466,11 @@ def bidirected_ancestry_witness(
 def is_ancestral(g: MixedGraph) -> bool:
     """No directed cycles, and no directed path between the endpoints of any
     bi-directed edge."""
-    for (i, j), mark in g._pairs.items():
-        if mark == _FWD:
-            if (g.ancestor_mask(i) >> j) & 1:
-                return False
-        elif mark == _REV:
-            if (g.ancestor_mask(j) >> i) & 1:
-                return False
-        else:
-            ai = g.ancestor_mask(i)
-            aj = g.ancestor_mask(j)
-            if ((ai >> j) & 1) or ((aj >> i) & 1):
-                return False
+    for x in range(g.n):
+        # a proper ancestor of x that is also its child closes a cycle; one
+        # that is its spouse has a directed path into the bi-directed edge
+        if g.ancestor_mask(x) & ~(1 << x) & (g._ch[x] | g._sp[x]):
+            return False
     return True
 
 
@@ -457,19 +486,28 @@ def inducing_path_exists(g: MixedGraph, x: int, y: int) -> bool:
     g.check_node(y)
     if x == y:
         raise InputError("inducing path endpoints must differ")
-    if g.has_edge(x, y):
-        return True
-    allowed = (g.ancestor_mask(x) | g.ancestor_mask(y)) & ~((1 << x) | (1 << y))
+    return g.has_edge(x, y) or _inducing_sweep(
+        g, x, y, g.ancestor_mask(x) | g.ancestor_mask(y)
+    )
+
+
+def _inducing_sweep(g: MixedGraph, x: int, y: int, anxy: int) -> bool:
+    # inducing_path_exists for distinct, valid, non-adjacent x and y, with
+    # ``anxy`` the union of their ancestor masks
+    allowed = anxy & ~((1 << x) | (1 << y))
     accept = (g._ch[y] | g._sp[y]) & allowed  # arrowhead at w on the (w, y) edge
     cur = (g._ch[x] | g._sp[x]) & allowed  # arrowhead at w on the (x, w) edge
+    sp = g._sp
     seen = 0
     while cur:
         if cur & accept:
             return True
         seen |= cur
         nxt = 0
-        for w in iter_bits(cur):
-            nxt |= g._sp[w]
+        while cur:
+            low = cur & -cur
+            nxt |= sp[low.bit_length() - 1]
+            cur ^= low
         cur = nxt & allowed & ~seen
     return False
 
@@ -505,18 +543,25 @@ def inducing_path_witness(
     return None
 
 
+def _inducing_gap(g: MixedGraph) -> tuple[int, int] | None:
+    # The first non-adjacent pair joined by an inducing path, or None.
+    an = [g.ancestor_mask(v) for v in range(g.n)]
+    adj = g._adj
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if not (adj[x] >> y) & 1 and _inducing_sweep(g, x, y, an[x] | an[y]):
+                return x, y
+    return None
+
+
 def maximality_witness(
     g: MixedGraph,
 ) -> tuple[int, int, tuple[int, ...]] | None:
     """A non-adjacent pair joined by an inducing path, or None."""
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if g.has_edge(x, y):
-                continue
-            path = inducing_path_witness(g, x, y)
-            if path is not None:
-                return x, y, path
-    return None
+    gap = _inducing_gap(g)
+    if gap is None:
+        return None
+    return gap + (inducing_path_witness(g, *gap),)
 
 
 def is_maximal(g: MixedGraph) -> bool:
@@ -526,16 +571,12 @@ def is_maximal(g: MixedGraph) -> bool:
     """
     if not is_ancestral(g):
         raise PreconditionError("is_maximal requires an ancestral graph")
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if not g.has_edge(x, y) and inducing_path_exists(g, x, y):
-                return False
-    return True
+    return _inducing_gap(g) is None
 
 
 def is_mag(g: MixedGraph) -> bool:
     """Ancestral and maximal."""
-    return is_ancestral(g) and is_maximal(g)
+    return is_ancestral(g) and _inducing_gap(g) is None
 
 
 def canonical_key(g: "MixedGraph | Mag") -> str:
@@ -576,6 +617,13 @@ class Mag:
                 f"{format_path(graph, path)}"
             )
         self.graph = graph
+
+    @classmethod
+    def _trusted(cls, graph: MixedGraph) -> "Mag":
+        # Wraps a graph the caller has already found to be a MAG.
+        m = object.__new__(cls)
+        m.graph = graph
+        return m
 
     @property
     def n(self) -> int:

@@ -80,7 +80,9 @@ def graph_from_json_dict(data: object) -> MixedGraph:
 def parse_graph_json(text: str) -> MixedGraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and over-long integers are ValueErrors; deep
+        # nesting exhausts the decoder's recursion
         raise ParseError(f"invalid JSON: {exc}") from None
     return graph_from_json_dict(data)
 
@@ -178,12 +180,14 @@ def parse_dot(text: str) -> MixedGraph:
 
 def load_graph(path: str) -> MixedGraph:
     """Read a JSON graph from a file path, or from stdin when path is '-'."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path!r}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from None
     return parse_graph_json(text)

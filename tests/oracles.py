@@ -9,7 +9,38 @@ from __future__ import annotations
 from itertools import combinations
 
 from magmoves import is_discriminating_path, simple_paths_between
-from magmoves.graph import MixedGraph, iter_bits
+from magmoves.graph import EdgeKind, MixedGraph, iter_bits
+
+
+def ancestors_dfs(g: MixedGraph, x: int) -> frozenset[int]:
+    """Depth-first search backwards along parent edges, from scratch."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        for p in g.parents(stack.pop()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return frozenset(seen)
+
+
+def is_mag_naive(g: MixedGraph) -> bool:
+    """The definition read literally: no directed edge closes a directed
+    cycle, no bi-directed edge joins an ancestor to its descendant, and no
+    inducing path joins a non-adjacent pair."""
+    for e in g.edges:
+        if e.kind is EdgeKind.DIRECTED and e.v in ancestors_dfs(g, e.u):
+            return False
+        if e.kind is EdgeKind.BIDIRECTED and (
+            e.u in ancestors_dfs(g, e.v) or e.v in ancestors_dfs(g, e.u)
+        ):
+            return False
+    return not any(
+        inducing_path_exists_naive(g, x, y)
+        for x in range(g.n)
+        for y in range(x + 1, g.n)
+        if not g.has_edge(x, y)
+    )
 
 
 def inducing_path_exists_naive(g: MixedGraph, x: int, y: int) -> bool:

@@ -272,6 +272,16 @@ def test_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{", b"[" * 100_000, b"1" * 5000], ids=["utf8", "deep", "digits"]
+)
+def test_unreadable_bytes_exit_two(tmp_path, capsys, raw):
+    path = tmp_path / "g.json"
+    path.write_bytes(raw)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["separate"])  # missing required flags

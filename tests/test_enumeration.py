@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from magmoves import (
     InputError,
     Mag,
     MixedGraph,
+    NotAMagError,
     bidirected,
     directed,
     graph_from_pair_code,
@@ -12,7 +14,7 @@ from magmoves import (
     partition_into_classes,
     unshielded_colliders,
 )
-from magmoves import enumeration
+from magmoves import _kernels, enumeration
 
 
 def test_code_round_trip():
@@ -20,6 +22,55 @@ def test_code_round_trip():
     # pair order (0,1), (0,2), (1,2): states 1, 0, 3
     code = 1 | (3 << 4)
     assert graph_from_pair_code(3, code) == g
+
+
+def test_decoder_matches_validating_constructor():
+    for n in range(1, 5):
+        for code in range(1 << (n * (n - 1))):
+            edges = []
+            for p, (u, v) in enumerate(_kernels.pair_list(n)):
+                s = (code >> (2 * p)) & 3
+                if s:
+                    edge = [directed(u, v), directed(v, u), bidirected(u, v)][s - 1]
+                    edges.append(edge)
+            expected = MixedGraph(n, edges)
+            got = graph_from_pair_code(n, code)
+            assert got == expected and hash(got) == hash(expected), (n, code)
+            assert got.canonical_key() == expected.canonical_key(), (n, code)
+            assert got.labels == expected.labels
+            for x in range(n):
+                assert got.parents(x) == expected.parents(x)
+                assert got.children(x) == expected.children(x)
+                assert got.spouses(x) == expected.spouses(x)
+                assert got.neighbors(x) == expected.neighbors(x)
+
+
+def test_decoder_labels():
+    g = graph_from_pair_code(2, 1, labels=("X", "Y"))
+    assert g.labels == ("X", "Y") and g == MixedGraph(2, [directed(0, 1)])
+    for bad in (("X",), ("X", "X")):
+        with pytest.raises(InputError):
+            graph_from_pair_code(2, 1, labels=bad)
+    for bad_n in (-1, 2.0, True):
+        with pytest.raises(InputError):
+            graph_from_pair_code(bad_n, 0)
+
+
+@pytest.mark.parametrize(
+    "n, code, witness",
+    [
+        (3, 1 | (2 << 2) | (1 << 4), "directed cycle"),  # 0->1->2->0
+        # a<->b<->c<->d with b->d and c->a: pairs (0,1) (0,2) (0,3) (1,2)
+        # (1,3) (2,3) in states 3, 2, 0, 3, 1, 3
+        (4, 3 | (2 << 2) | (3 << 6) | (1 << 8) | (3 << 10), "inducing path"),
+    ],
+)
+def test_enumeration_rechecks_kernel_codes(monkeypatch, n, code, witness):
+    monkeypatch.setattr(
+        _kernels, "enumerate_mag_codes", lambda n: np.array([code], np.int64)
+    )
+    with pytest.raises(NotAMagError, match=witness):
+        list(enumeration.enumerate_mags(n))
 
 
 def test_counts_small():

@@ -1,6 +1,8 @@
 import pytest
 
 from magmoves import (
+    Edge,
+    EdgeKind,
     InputError,
     Mag,
     MixedGraph,
@@ -17,7 +19,7 @@ from magmoves import (
 )
 from magmoves.graph import format_path, maximality_witness
 
-from oracles import inducing_path_exists_naive
+from oracles import ancestors_dfs, inducing_path_exists_naive, is_mag_naive
 
 
 def test_construction_rejects_self_loop():
@@ -40,6 +42,15 @@ def test_construction_rejects_bad_labels():
         MixedGraph(2, labels=("A",))
     with pytest.raises(InputError):
         MixedGraph(2, labels=("A", "A"))
+
+
+def test_construction_rejects_ill_typed_arguments():
+    for n in (2.5, "2", None, True):
+        with pytest.raises(InputError, match="node count"):
+            MixedGraph(n)
+    for edge in (Edge(EdgeKind.DIRECTED, "a", 1), Edge(EdgeKind.BIDIRECTED, 0, 1.0)):
+        with pytest.raises(InputError, match="non-integer endpoint"):
+            MixedGraph(2, [edge])
 
 
 def test_bidirected_edge_normalizes_endpoints():
@@ -122,6 +133,23 @@ def test_inducing_path_matches_naive_enumeration_exhaustively():
                     assert inducing_path_exists(g, x, y) == inducing_path_exists_naive(
                         g, x, y
                     ), (n, code, x, y)
+
+
+def test_validity_matches_literal_oracles_exhaustively():
+    from magmoves import graph_from_pair_code
+
+    for n in range(1, 5):
+        for code in range(1 << (n * (n - 1))):
+            g = graph_from_pair_code(n, code)
+            assert is_mag(g) == is_mag_naive(g), (n, code)
+            # ancestor masks reuse each other's cache, so ask in both orders
+            backwards = graph_from_pair_code(n, code)
+            for x in range(n):
+                expected = ancestors_dfs(g, x)
+                assert ancestors(g, x) == expected, (n, code, x)
+                assert ancestors(backwards, n - 1 - x) == ancestors_dfs(
+                    g, n - 1 - x
+                ), (n, code, n - 1 - x)
 
 
 def test_is_maximal_requires_ancestral():

@@ -23,21 +23,8 @@ def test_numpy_codes_match_reference_filter(n):
     assert list(codes) == expected
 
 
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba path disabled")
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_jit_and_numpy_agree(n):
-    jit = _kernels.mag_codes_jit(n)
-    vec = _kernels.mag_codes_numpy(n)
-    assert np.array_equal(jit, vec)
-
-
 def test_dispatcher_matches_active_backend():
     got = _kernels.enumerate_mag_codes(3)
     assert len(got) == 56
     assert np.array_equal(got, _kernels.mag_codes_numpy(3))
 
-
-@pytest.mark.skipif(_kernels.USING_NUMBA, reason="numba path active")
-def test_jit_entry_refuses_when_disabled():
-    with pytest.raises(RuntimeError):
-        _kernels.mag_codes_jit(3)

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "USING_NUMBA",
     "enumerate_mag_codes",
-    "mag_codes_numpy",
     "pair_list",
 ]
 
@@ -86,7 +85,3 @@ def enumerate_mag_codes(n: int) -> np.ndarray:
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         kept.append(codes[_is_mag_block(n, codes)])
     return np.concatenate(kept)
-
-
-# Former name of the kernel entry point.
-mag_codes_numpy = enumerate_mag_codes

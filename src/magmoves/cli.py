@@ -17,11 +17,8 @@ from .graph import (
     EdgeKind,
     Mag,
     MixedGraph,
-    bidirected_ancestry_witness,
-    directed_cycle_witness,
     format_path,
-    is_ancestral,
-    maximality_witness,
+    mag_violation,
 )
 from .equivalence import markov_equivalent, markov_equivalent_bruteforce
 from .io import graph_to_dot, graph_to_json_dict, load_graph
@@ -68,40 +65,22 @@ def _emit_graph(g: MixedGraph, fmt: str) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    ancestral = is_ancestral(g)
-    notes: dict[str, object] = {"ancestral": ancestral}
-    if ancestral:
-        gap = maximality_witness(g)
-        notes["maximal"] = gap is None
-        if gap is not None:
-            x, y, path = gap
-            notes["witness"] = (
-                f"inducing path {format_path(g, path)} between "
-                f"non-adjacent {g.labels[x]}, {g.labels[y]}"
-            )
-    else:
-        cycle = directed_cycle_witness(g)
-        if cycle is not None:
-            notes["witness"] = f"directed cycle {format_path(g, cycle)}"
-        else:
-            edge, path = bidirected_ancestry_witness(g)
-            notes["witness"] = (
-                f"bi-directed edge {g.labels[edge.u]}<->{g.labels[edge.v]} "
-                f"with directed path {format_path(g, path)}"
-            )
-        notes["maximal"] = None
-    ok = bool(notes["ancestral"]) and notes["maximal"] is True
-    notes["mag"] = ok
+    kind, witness = mag_violation(g) or (None, None)
+    ancestral = kind != "ancestral"
+    maximal = kind is None if ancestral else None
+    notes: dict[str, object] = {"ancestral": ancestral, "maximal": maximal}
+    if witness is not None:
+        notes["witness"] = witness
+    notes["mag"] = kind is None
     if args.format == "json":
         print(json.dumps(notes))
     else:
-        print(f"ancestral: {'yes' if notes['ancestral'] else 'no'}")
-        maximal = notes["maximal"]
+        print(f"ancestral: {'yes' if ancestral else 'no'}")
         print(f"maximal: {'unknown (not ancestral)' if maximal is None else 'yes' if maximal else 'no'}")
-        if "witness" in notes:
-            print(f"witness: {notes['witness']}")
-        print(f"mag: {'yes' if ok else 'no'}")
-    return 0 if ok else 1
+        if witness is not None:
+            print(f"witness: {witness}")
+        print(f"mag: {'yes' if kind is None else 'no'}")
+    return 0 if kind is None else 1
 
 
 def _cmd_separate(args: argparse.Namespace) -> int:

@@ -37,7 +37,6 @@ from .transform import (
     delta,
     is_blanketed_bidirected_against,
     is_blanketed_directed,
-    is_screened,
     legal_moves,
 )
 
@@ -59,12 +58,10 @@ PRACTICAL_MAX_N = 5
 
 
 @functools.lru_cache(maxsize=None)
-def _code_table(n: int) -> tuple[tuple[str, ...], tuple, np.ndarray]:
-    # Everything decoding needs at one node count: the default labels; per
-    # pair position, the (pair, token, tail, tail bit, head, head bit) of
-    # states 1..3 (bi-directed edges run tail u to head v too); and the
-    # rank of each state's token among all tokens in string order, 255 for
-    # an absent edge.
+def _code_table(n: int) -> tuple[tuple[str, ...], tuple]:
+    # Everything decoding needs at one node count: the default labels, and
+    # per pair position the (pair, token, tail, tail bit, head, head bit) of
+    # states 1..3 (bi-directed edges run tail u to head v too).
     rows = []
     for u, v in _kernels.pair_list(n):
         bu, bv = 1 << u, 1 << v
@@ -76,12 +73,7 @@ def _code_table(n: int) -> tuple[tuple[str, ...], tuple, np.ndarray]:
                 ((u, v), f"{u}<>{v}", u, bu, v, bv),
             )
         )
-    order = sorted(st[1] for row in rows for st in row[1:])
-    ranks = np.array(
-        [[255] + [order.index(st[1]) for st in row[1:]] for row in rows],
-        np.uint8,
-    ).reshape(-1, 4)
-    return tuple(f"V{i}" for i in range(n)), tuple(rows), ranks
+    return tuple(f"V{i}" for i in range(n)), tuple(rows)
 
 
 def graph_from_pair_code(
@@ -90,15 +82,20 @@ def graph_from_pair_code(
     """Decode a base-4 pair-state code (see :mod:`magmoves._kernels`)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InputError(f"node count must be a non-negative integer, got {n!r}")
-    default, rows, _ = _code_table(n)
+    if type(code) is not int:
+        if not isinstance(code, np.integer):
+            raise InputError(f"pair code must be an integer, got {code!r}")
+        code = int(code)
+    default, rows = _code_table(n)
     pairs = {}
     pa = [0] * n
     ch = [0] * n
     sp = [0] * n
     toks = [str(n)]
+    rest = code
     for row in rows:
-        s = code & 3
-        code >>= 2
+        s = rest & 3
+        rest >>= 2
         if s:
             pair, tok, a, abit, b, bbit = row[s]
             pairs[pair] = s  # the graph's pair marks are these pair states
@@ -109,6 +106,8 @@ def graph_from_pair_code(
             else:
                 ch[a] |= bbit
                 pa[b] |= abit
+    if rest:  # bits above the last pair, or a negative code
+        raise InputError(f"pair code {code} is out of range for {n} nodes")
     toks[1:] = sorted(toks[1:])
     return MixedGraph._trusted(
         n,
@@ -125,8 +124,14 @@ def _canonical_order(n: int, codes: np.ndarray) -> np.ndarray:
     # Permutation sorting ``codes`` by canonical key.  No token is a prefix
     # of another, so keys compare as their sorted token sequences, a key
     # that runs out first being smaller: that is the order of the sorted
-    # token ranks, shifted up by one and padded with 0 at the end.
-    _, _, ranks = _code_table(n)
+    # token ranks, shifted up by one and padded with 0 at the end.  A uint8
+    # rank, with 255 for an absent edge, fits the 30 tokens of n = 5.
+    rows = _code_table(n)[1]
+    order = sorted(st[1] for row in rows for st in row[1:])
+    ranks = np.array(
+        [[255] + [order.index(st[1]) for st in row[1:]] for row in rows],
+        np.uint8,
+    ).reshape(-1, 4)
     m = ranks.shape[0]
     seq = np.empty((codes.shape[0], m), np.uint8)
     for p in range(m):
@@ -368,6 +373,10 @@ def test_conjecture1(n: int) -> ConjectureReport:
     )
 
 
+def _mag_or_none(g: MixedGraph) -> Mag | None:
+    return Mag._trusted(g) if is_mag(g) else None
+
+
 def verify_theorems(n: int) -> EquivalenceReport:
     """Exhaustively check the package's structural claims on ``n`` nodes.
 
@@ -381,104 +390,84 @@ def verify_theorems(n: int) -> EquivalenceReport:
     signatures = {m.canonical_key(): separation_signature(m.graph) for m in mags}
     class_count = len(set(signatures.values()))
 
-    sound_cases = 0
-    sound_viol = []
+    names = ("thm3_sound", "thm3_necessary", "thm4_iff", "lemma1", "lemma2")
+    cases = dict.fromkeys(names, 0)
+    viol: dict[str, list[str]] = {name: [] for name in names}
     for m in mags:
+        key = m.canonical_key()
+        blanketed = set()  # (x, y): the edge is blanketed (against x)
+        screened = set()
+        flipped = {}  # (u, v) -> the MAG with u -> v made bi-directed
         for mv in legal_moves(m):
             if mv.kind is MoveKind.REVERSE:
+                screened.add((mv.x, mv.y))
                 continue
-            sound_cases += 1
+            blanketed.add((mv.x, mv.y))
+            cases["thm3_sound"] += 1
             try:
                 m2 = apply_move(m, mv)
             except InputError as exc:
-                sound_viol.append(f"{m.canonical_key()} {mv}: {exc}")
+                viol["thm3_sound"].append(f"{key} {mv}: {exc}")
                 continue
+            if mv.kind is MoveKind.DIR_TO_BI:
+                flipped[mv.x, mv.y] = m2
             if not markov_equivalent_bruteforce(m, m2):
-                sound_viol.append(
-                    f"{m.canonical_key()} {mv} -> {m2.canonical_key()}: "
-                    "not equivalent"
+                viol["thm3_sound"].append(
+                    f"{key} {mv} -> {m2.canonical_key()}: not equivalent"
                 )
 
-    necessary_cases = 0
-    necessary_viol = []
-    for m in mags:
         for e in m.edges:
-            if e.kind is not EdgeKind.DIRECTED:
-                continue
-            flipped = m.graph.with_edge(bidirected(e.u, e.v))
-            if not is_mag(flipped):
-                continue
-            m2 = Mag(flipped)
-            if not markov_equivalent_bruteforce(m, m2):
-                continue
-            necessary_cases += 1
-            if not is_blanketed_directed(m, e.u, e.v):
-                necessary_viol.append(
-                    f"{m.canonical_key()}: {e.token()} flips but is not blanketed"
-                )
-            if not is_blanketed_bidirected_against(m2, e.u, e.v):
-                necessary_viol.append(
-                    f"{m2.canonical_key()}: {e.u}<->{e.v} flips back but is "
-                    f"not blanketed against {e.u}"
-                )
-
-    reverse_cases = 0
-    reverse_viol = []
-    for m in mags:
-        for e in m.edges:
-            if e.kind is not EdgeKind.DIRECTED:
-                continue
-            reverse_cases += 1
-            swapped = m.graph.with_edge(directed(e.v, e.u))
-            lhs = is_mag(swapped) and markov_equivalent_bruteforce(m, Mag(swapped))
-            rhs = is_screened(m, e.u, e.v)
-            if lhs != rhs:
-                reverse_viol.append(
-                    f"{m.canonical_key()}: reversal of {e.token()} "
-                    f"equivalent={lhs} screened={rhs}"
-                )
-
-    lemma1_cases = 0
-    lemma1_viol = []
-    for m in mags:
-        for e in m.edges:
-            oriented = [(e.u, e.v)]
-            if e.kind is not EdgeKind.DIRECTED:
-                oriented.append((e.v, e.u))
-            for x, y in oriented:
-                if e.kind is EdgeKind.DIRECTED:
-                    ok = is_blanketed_directed(m, x, y)
-                else:
-                    ok = is_blanketed_bidirected_against(m, x, y)
-                if not ok:
+            u, v = e.u, e.v
+            for x, y in ((u, v), (v, u)):
+                if (x, y) not in blanketed:
                     continue
-                lemma1_cases += 1
+                cases["lemma1"] += 1
                 if not check_lemma1(m, x, y):
-                    lemma1_viol.append(
-                        f"{m.canonical_key()}: collider entry paths into {x} "
+                    viol["lemma1"].append(
+                        f"{key}: collider entry paths into {x} "
                         f"escape the blanket of {y}"
                     )
-
-    lemma2_cases = 0
-    lemma2_viol = []
-    for m in mags:
-        for e in m.edges:
             if e.kind is not EdgeKind.DIRECTED:
                 continue
-            if not is_screened(m, e.u, e.v):
-                continue
-            lemma2_cases += 1
-            if not is_blanketed_directed(m, e.u, e.v):
-                lemma2_viol.append(
-                    f"{m.canonical_key()}: {e.token()} screened but not blanketed"
+            edge_blanketed = (u, v) in blanketed
+            edge_screened = (u, v) in screened
+
+            m2 = flipped.get((u, v))
+            if m2 is None:
+                m2 = _mag_or_none(m.graph.with_edge(bidirected(u, v)))
+            if m2 is not None and markov_equivalent_bruteforce(m, m2):
+                cases["thm3_necessary"] += 1
+                if not edge_blanketed:
+                    viol["thm3_necessary"].append(
+                        f"{key}: {e.token()} flips but is not blanketed"
+                    )
+                if not is_blanketed_bidirected_against(m2, u, v):
+                    viol["thm3_necessary"].append(
+                        f"{m2.canonical_key()}: {u}<->{v} flips back but is "
+                        f"not blanketed against {u}"
+                    )
+
+            cases["thm4_iff"] += 1
+            m2 = _mag_or_none(m.graph.with_edge(directed(v, u)))
+            equivalent = m2 is not None and markov_equivalent_bruteforce(m, m2)
+            if equivalent != edge_screened:
+                viol["thm4_iff"].append(
+                    f"{key}: reversal of {e.token()} "
+                    f"equivalent={equivalent} screened={edge_screened}"
                 )
 
-    oracle_cases = 0
-    oracle_viol = []
+            if edge_screened:
+                cases["lemma2"] += 1
+                if not edge_blanketed:
+                    viol["lemma2"].append(
+                        f"{key}: {e.token()} screened but not blanketed"
+                    )
+
+    cases["thm2_vs_oracle"] = len(mags) ** 2
+    viol["thm2_vs_oracle"] = oracle_viol = []
     for m1 in mags:
         s1 = signatures[m1.canonical_key()]
         for m2 in mags:
-            oracle_cases += 1
             graphical = markov_equivalent(m1, m2)
             brute = s1 == signatures[m2.canonical_key()]
             if graphical != brute:
@@ -487,14 +476,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
                     f"graphical={graphical} brute={brute}"
                 )
 
-    checks = {
-        "thm3_sound": CheckOutcome(sound_cases, tuple(sound_viol)),
-        "thm3_necessary": CheckOutcome(necessary_cases, tuple(necessary_viol)),
-        "thm4_iff": CheckOutcome(reverse_cases, tuple(reverse_viol)),
-        "lemma1": CheckOutcome(lemma1_cases, tuple(lemma1_viol)),
-        "lemma2": CheckOutcome(lemma2_cases, tuple(lemma2_viol)),
-        "thm2_vs_oracle": CheckOutcome(oracle_cases, tuple(oracle_viol)),
-    }
+    checks = {k: CheckOutcome(cases[k], tuple(viol[k])) for k in cases}
     return EquivalenceReport(
         n=n, mag_count=len(mags), class_count=class_count, checks=checks
     )

@@ -32,10 +32,9 @@ __all__ = [
     "canonical_key",
     "simple_paths_between",
     "iter_bits",
-    "directed_cycle_witness",
-    "bidirected_ancestry_witness",
     "inducing_path_witness",
     "maximality_witness",
+    "mag_violation",
     "format_path",
 ]
 
@@ -102,10 +101,14 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def _check_labels(n: int, labels: Iterable[str] | None) -> tuple[str, ...]:
     """The node labels as a tuple, ``V0..V{n-1}`` by default; raises unless
-    there are ``n`` distinct ones."""
+    there are ``n`` distinct strings."""
     if labels is None:
         return tuple(f"V{i}" for i in range(n))
+    if not isinstance(labels, Iterable):
+        raise InputError(f"labels must be an iterable, got {labels!r}")
     labels = tuple(labels)
+    if not all(isinstance(lbl, str) for lbl in labels):
+        raise InputError(f"node labels must be strings, got {labels!r}")
     if len(labels) != n:
         raise InputError(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
@@ -150,6 +153,8 @@ class MixedGraph:
         pa = [0] * n
         ch = [0] * n
         sp = [0] * n
+        if not isinstance(edges, Iterable):
+            raise InputError(f"edges must be an iterable, got {edges!r}")
         for e in edges:
             if not isinstance(e, Edge):
                 raise InputError(f"expected an Edge, got {e!r}")
@@ -167,10 +172,12 @@ class MixedGraph:
                 pairs[key] = _FWD if (u, v) == key else _REV
                 ch[u] |= 1 << v
                 pa[v] |= 1 << u
-            else:
+            elif e.kind is EdgeKind.BIDIRECTED:
                 pairs[key] = _BI
                 sp[u] |= 1 << v
                 sp[v] |= 1 << u
+            else:
+                raise InputError(f"edge kind must be an EdgeKind, got {e.kind!r}")
         self._adopt(n, _check_labels(n, labels), pairs, pa, ch, sp, None)
 
     @classmethod
@@ -420,16 +427,6 @@ def ancestors(g: MixedGraph, x: int) -> frozenset[int]:
     return frozenset(iter_bits(g.ancestor_mask(x)))
 
 
-def directed_cycle_witness(g: MixedGraph) -> tuple[int, ...] | None:
-    """A directed cycle as a node tuple (first == last), or None."""
-    for e in g.edges:
-        if e.kind is EdgeKind.DIRECTED and (g.ancestor_mask(e.u) >> e.v) & 1:
-            # e.v reaches e.u by directed edges; recover one such path.
-            path = _directed_path(g, e.v, e.u)
-            return path + (e.v,)
-    return None
-
-
 def _directed_path(g: MixedGraph, src: int, dst: int) -> tuple[int, ...]:
     # BFS over child edges from src to dst; caller guarantees existence.
     prev = {src: None}
@@ -448,19 +445,23 @@ def _directed_path(g: MixedGraph, src: int, dst: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def bidirected_ancestry_witness(
-    g: MixedGraph,
-) -> tuple[Edge, tuple[int, ...]] | None:
-    """A bi-directed edge one of whose endpoints is an ancestor of the other,
-    with the offending directed path, or None."""
-    for e in g.edges:
-        if e.kind is not EdgeKind.BIDIRECTED:
-            continue
-        if (g.ancestor_mask(e.v) >> e.u) & 1:
-            return e, _directed_path(g, e.u, e.v)
-        if (g.ancestor_mask(e.u) >> e.v) & 1:
-            return e, _directed_path(g, e.v, e.u)
-    return None
+def _ancestral_witness(g: MixedGraph) -> str:
+    # Why a graph that is not ancestral fails: the first directed edge that
+    # closes a directed cycle, else the first bi-directed edge with a
+    # directed path between its endpoints.
+    edges = g.edges
+    for e in edges:
+        if e.kind is EdgeKind.DIRECTED and (g.ancestor_mask(e.u) >> e.v) & 1:
+            cycle = _directed_path(g, e.v, e.u) + (e.v,)
+            return f"directed cycle {format_path(g, cycle)}"
+    for e in edges:
+        if e.kind is EdgeKind.BIDIRECTED:
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if (g.ancestor_mask(b) >> a) & 1:
+                    return (
+                        f"bi-directed edge {g.labels[e.u]}<->{g.labels[e.v]} "
+                        f"with directed path {format_path(g, _directed_path(g, a, b))}"
+                    )
 
 
 def is_ancestral(g: MixedGraph) -> bool:
@@ -482,34 +483,7 @@ def inducing_path_exists(g: MixedGraph, x: int, y: int) -> bool:
     pairwise linked by bi-directed edges, so a reachability sweep over the
     bi-directed core is exact; no path enumeration is needed.
     """
-    g.check_node(x)
-    g.check_node(y)
-    if x == y:
-        raise InputError("inducing path endpoints must differ")
-    return g.has_edge(x, y) or _inducing_sweep(
-        g, x, y, g.ancestor_mask(x) | g.ancestor_mask(y)
-    )
-
-
-def _inducing_sweep(g: MixedGraph, x: int, y: int, anxy: int) -> bool:
-    # inducing_path_exists for distinct, valid, non-adjacent x and y, with
-    # ``anxy`` the union of their ancestor masks
-    allowed = anxy & ~((1 << x) | (1 << y))
-    accept = (g._ch[y] | g._sp[y]) & allowed  # arrowhead at w on the (w, y) edge
-    cur = (g._ch[x] | g._sp[x]) & allowed  # arrowhead at w on the (x, w) edge
-    sp = g._sp
-    seen = 0
-    while cur:
-        if cur & accept:
-            return True
-        seen |= cur
-        nxt = 0
-        while cur:
-            low = cur & -cur
-            nxt |= sp[low.bit_length() - 1]
-            cur ^= low
-        cur = nxt & allowed & ~seen
-    return False
+    return inducing_path_witness(g, x, y) is not None
 
 
 def inducing_path_witness(
@@ -522,46 +496,66 @@ def inducing_path_witness(
         raise InputError("inducing path endpoints must differ")
     if g.has_edge(x, y):
         return (x, y)
-    allowed = (g.ancestor_mask(x) | g.ancestor_mask(y)) & ~((1 << x) | (1 << y))
-    accept = (g._ch[y] | g._sp[y]) & allowed
-    prev: dict[int, int | None] = {}
-    queue = []
-    for w in iter_bits((g._ch[x] | g._sp[x]) & allowed):
-        prev[w] = None
-        queue.append(w)
-    while queue:
-        w = queue.pop(0)
-        if (accept >> w) & 1:
-            mid = [w]
-            while prev[mid[-1]] is not None:
-                mid.append(prev[mid[-1]])
-            return (x,) + tuple(reversed(mid)) + (y,)
-        for v in iter_bits(g._sp[w] & allowed):
-            if v not in prev:
-                prev[v] = w
-                queue.append(v)
-    return None
+    return _inducing_path(g, x, y, g.ancestor_mask(x) | g.ancestor_mask(y))
 
 
-def _inducing_gap(g: MixedGraph) -> tuple[int, int] | None:
-    # The first non-adjacent pair joined by an inducing path, or None.
-    an = [g.ancestor_mask(v) for v in range(g.n)]
-    adj = g._adj
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if not (adj[x] >> y) & 1 and _inducing_sweep(g, x, y, an[x] | an[y]):
-                return x, y
-    return None
+def _inducing_path(
+    g: MixedGraph, x: int, y: int, anxy: int
+) -> tuple[int, ...] | None:
+    # inducing_path_witness for distinct, valid, non-adjacent x and y, with
+    # ``anxy`` the union of their ancestor masks.  A bitmask sweep over the
+    # bi-directed core keeps each breadth-first frontier; only on a hit are
+    # they replayed in queue order, so the path is the one a node-by-node
+    # BFS finds (first accepted node, first-discovered parents).
+    allowed = anxy & ~((1 << x) | (1 << y))
+    accept = (g._ch[y] | g._sp[y]) & allowed  # arrowhead at w on the (w, y) edge
+    cur = (g._ch[x] | g._sp[x]) & allowed  # arrowhead at w on the (x, w) edge
+    sp = g._sp
+    seen = 0
+    levels = []
+    while cur:
+        levels.append(cur)
+        if cur & accept:
+            break
+        seen |= cur
+        nxt = 0
+        while cur:
+            low = cur & -cur
+            nxt |= sp[low.bit_length() - 1]
+            cur ^= low
+        cur = nxt & allowed & ~seen
+    else:
+        return None
+    order = list(iter_bits(levels[0]))
+    parent = dict.fromkeys(order, x)
+    for level in levels[1:]:
+        found = []
+        for w in order:
+            for v in iter_bits(sp[w] & level):
+                parent[v] = w
+                found.append(v)
+            level &= ~sp[w]
+        order = found
+    path = [y, next(w for w in order if (accept >> w) & 1)]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def maximality_witness(
     g: MixedGraph,
 ) -> tuple[int, int, tuple[int, ...]] | None:
-    """A non-adjacent pair joined by an inducing path, or None."""
-    gap = _inducing_gap(g)
-    if gap is None:
-        return None
-    return gap + (inducing_path_witness(g, *gap),)
+    """The first non-adjacent pair joined by an inducing path, with the
+    path, or None."""
+    an = [g.ancestor_mask(v) for v in range(g.n)]
+    adj = g._adj
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if not (adj[x] >> y) & 1:
+                path = _inducing_path(g, x, y, an[x] | an[y])
+                if path is not None:
+                    return x, y, path
+    return None
 
 
 def is_maximal(g: MixedGraph) -> bool:
@@ -571,12 +565,32 @@ def is_maximal(g: MixedGraph) -> bool:
     """
     if not is_ancestral(g):
         raise PreconditionError("is_maximal requires an ancestral graph")
-    return _inducing_gap(g) is None
+    return maximality_witness(g) is None
+
+
+def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
+    """Why ``g`` is not a MAG, or None when it is one.
+
+    Returns ``("ancestral", witness)`` naming a directed cycle or a
+    bi-directed edge with a directed path between its endpoints, else
+    ``("maximal", witness)`` naming a non-adjacent pair and the inducing
+    path that joins it.
+    """
+    if not is_ancestral(g):
+        return "ancestral", _ancestral_witness(g)
+    gap = maximality_witness(g)
+    if gap is None:
+        return None
+    x, y, path = gap
+    return "maximal", (
+        f"non-adjacent pair ({g.labels[x]}, {g.labels[y]}) joined by "
+        f"inducing path {format_path(g, path)}"
+    )
 
 
 def is_mag(g: MixedGraph) -> bool:
     """Ancestral and maximal."""
-    return is_ancestral(g) and _inducing_gap(g) is None
+    return mag_violation(g) is None
 
 
 def canonical_key(g: "MixedGraph | Mag") -> str:
@@ -595,27 +609,9 @@ class Mag:
     def __init__(self, graph: MixedGraph) -> None:
         if not isinstance(graph, MixedGraph):
             raise InputError(f"expected a MixedGraph, got {graph!r}")
-        cycle = directed_cycle_witness(graph)
-        if cycle is not None:
-            raise NotAMagError(
-                f"not ancestral: directed cycle {format_path(graph, cycle)}"
-            )
-        bad = bidirected_ancestry_witness(graph)
+        bad = mag_violation(graph)
         if bad is not None:
-            edge, path = bad
-            raise NotAMagError(
-                "not ancestral: bi-directed edge "
-                f"{graph.labels[edge.u]}<->{graph.labels[edge.v]} "
-                f"with directed path {format_path(graph, path)}"
-            )
-        gap = maximality_witness(graph)
-        if gap is not None:
-            x, y, path = gap
-            raise NotAMagError(
-                f"not maximal: non-adjacent pair ({graph.labels[x]}, "
-                f"{graph.labels[y]}) joined by inducing path "
-                f"{format_path(graph, path)}"
-            )
+            raise NotAMagError(f"not {bad[0]}: {bad[1]}")
         self.graph = graph
 
     @classmethod

@@ -20,7 +20,6 @@ from .graph import MixedGraph, iter_bits, simple_paths_between
 __all__ = [
     "SeparationQuery",
     "m_connected",
-    "m_connected_naive",
     "m_separated_sets",
     "find_separator",
     "find_connecting_path",
@@ -118,17 +117,6 @@ def _path_m_connects(
         elif (zmask >> w) & 1:
             return False
     return True
-
-
-def m_connected_naive(
-    g: MixedGraph, x: int, y: int, given: Iterable[int] = ()
-) -> bool:
-    """Reference implementation: enumerate every simple path and test it."""
-    zmask, anz = _query_masks(g, x, y, given)
-    for path in simple_paths_between(g, x, y):
-        if _path_m_connects(g, path, zmask, anz):
-            return True
-    return False
 
 
 def find_connecting_path(

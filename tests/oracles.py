@@ -24,10 +24,9 @@ def ancestors_dfs(g: MixedGraph, x: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_mag_naive(g: MixedGraph) -> bool:
-    """The definition read literally: no directed edge closes a directed
-    cycle, no bi-directed edge joins an ancestor to its descendant, and no
-    inducing path joins a non-adjacent pair."""
+def is_ancestral_naive(g: MixedGraph) -> bool:
+    """No directed edge closes a directed cycle and no bi-directed edge joins
+    an ancestor to its descendant."""
     for e in g.edges:
         if e.kind is EdgeKind.DIRECTED and e.v in ancestors_dfs(g, e.u):
             return False
@@ -35,11 +34,31 @@ def is_mag_naive(g: MixedGraph) -> bool:
             e.u in ancestors_dfs(g, e.v) or e.v in ancestors_dfs(g, e.u)
         ):
             return False
-    return not any(
+    return True
+
+
+def is_mag_naive(g: MixedGraph) -> bool:
+    """The definition read literally: ancestral, and no inducing path joins
+    a non-adjacent pair."""
+    return is_ancestral_naive(g) and not any(
         inducing_path_exists_naive(g, x, y)
         for x in range(g.n)
         for y in range(x + 1, g.n)
         if not g.has_edge(x, y)
+    )
+
+
+def is_inducing_path(g: MixedGraph, path: tuple[int, ...]) -> bool:
+    """Is ``path`` a simple path of ``g`` whose every internal node is a
+    collider on it and an ancestor of one of its endpoints?"""
+    if len(path) < 2 or len(set(path)) != len(path):
+        return False
+    if not all(g.has_edge(a, b) for a, b in zip(path, path[1:])):
+        return False
+    anc = ancestors_dfs(g, path[0]) | ancestors_dfs(g, path[-1])
+    return all(
+        g.arrowhead_toward(a, w) and g.arrowhead_toward(b, w) and w in anc
+        for a, w, b in zip(path, path[1:], path[2:])
     )
 
 
@@ -84,3 +103,22 @@ def conditioning_sets(n: int, x: int, y: int):
     rest = [v for v in range(n) if v != x and v != y]
     for size in range(len(rest) + 1):
         yield from combinations(rest, size)
+
+
+def m_connected_naive(g: MixedGraph, x: int, y: int, given=()) -> bool:
+    """Enumerate every simple path and test it: each internal collider must
+    be an ancestor of a member of ``given`` and each internal non-collider
+    must lie outside it."""
+    given = set(given)
+    an_given = set()
+    for z in given:
+        an_given |= ancestors_dfs(g, z)
+    for path in simple_paths_between(g, x, y):
+        if all(
+            w in an_given
+            if g.arrowhead_toward(a, w) and g.arrowhead_toward(b, w)
+            else w not in given
+            for a, w, b in zip(path, path[1:], path[2:])
+        ):
+            return True
+    return False

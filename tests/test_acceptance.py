@@ -14,15 +14,15 @@ from magmoves.enumeration import (
     partition_into_classes,
 )
 from magmoves.equivalence import discriminating_path_exists_for_triple
-from magmoves.graph import is_ancestral, maximality_witness
-from magmoves.separation import find_separator, m_connected, m_connected_naive
+from magmoves.graph import EdgeKind, is_ancestral, maximality_witness
+from magmoves.separation import find_separator, m_connected
 from magmoves.transform import (
     equivalence_class_closure,
     is_blanketed_directed,
     is_screened,
 )
 
-from oracles import discriminating_triple_naive
+from oracles import discriminating_triple_naive, m_connected_naive
 
 
 def _announce(cid: str, detail: str) -> None:
@@ -32,6 +32,12 @@ def _announce(cid: str, detail: str) -> None:
 def _all_codes(n: int):
     npairs = n * (n - 1) // 2
     return range(1 << (2 * npairs))
+
+
+@pytest.fixture(scope="module")
+def mags_to_5(mags_by_n):
+    # C7 and C8 both walk every MAG on five nodes; enumerate them once
+    return {**mags_by_n, 5: list(enumerate_mags(5))}
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +120,13 @@ def test_c06_reversal_licensed_exactly_when_screened(theorem_reports):
     _announce("C6", f"{cases} directed edges, reversal iff screened")
 
 
-def test_c07_blanket_path_lemmas_hold(theorem_reports):
+def test_c07_blanket_path_lemmas_hold(theorem_reports, mags_to_5):
     lemma1_cases = _check(theorem_reports, "lemma1")
     lemma2_small = _check(theorem_reports, "lemma2")
     lemma2_large = 0
-    for m in enumerate_mags(5):
+    for m in mags_to_5[5]:
         for e in m.edges:
-            if e.kind.value != "directed":
+            if e.kind is not EdgeKind.DIRECTED:
                 continue
             if not is_screened(m, e.u, e.v):
                 continue
@@ -135,10 +141,10 @@ def test_c07_blanket_path_lemmas_hold(theorem_reports):
     )
 
 
-def test_c08_discriminating_search_matches_enumeration():
+def test_c08_discriminating_search_matches_enumeration(mags_to_5):
     checked = 0
     for n in range(3, 6):
-        for m in enumerate_mags(n):
+        for m in mags_to_5[n]:
             g = m.graph
             for x in range(n):
                 for z in range(n):

@@ -78,6 +78,52 @@ def test_validate_cyclic(write_graph, capsys):
     assert "directed cycle" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        (
+            [directed(0, 1), directed(1, 2), bidirected(0, 2)],
+            {
+                "ancestral": False,
+                "maximal": None,
+                "witness": "bi-directed edge V0<->V2 with directed path "
+                "V0->V1->V2",
+                "mag": False,
+            },
+        ),
+        (
+            [directed(0, 1), directed(1, 2), directed(2, 0)],
+            {
+                "ancestral": False,
+                "maximal": None,
+                "witness": "directed cycle V1->V2->V0->V1",
+                "mag": False,
+            },
+        ),
+        (
+            [directed(0, 1)],
+            {"ancestral": True, "maximal": True, "mag": True},
+        ),
+    ],
+)
+def test_validate_json_witness(write_graph, capsys, edges, expected):
+    path = write_graph(MixedGraph(3, edges))
+    assert main(["validate", path, "--format", "json"]) == (
+        0 if expected["mag"] else 1
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload.items()) == list(expected.items())
+
+
+def test_validate_maximal_witness_wording(nonmaximal_file, capsys):
+    assert main(["validate", nonmaximal_file, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["ancestral", "maximal", "witness", "mag"]
+    assert payload["witness"] == (
+        "non-adjacent pair (a, d) joined by inducing path a<->b<->c<->d"
+    )
+
+
 def test_separate_verdicts(collider_file, capsys):
     assert main(["separate", collider_file, "--x", "X", "--y", "Y"]) == 0
     assert "m-separated given {}" in capsys.readouterr().out

@@ -57,6 +57,19 @@ def test_decoder_labels():
 
 
 @pytest.mark.parametrize(
+    "n, code", [(2, 16), (2, 5), (2, -1), (1, 1), (2, 1.5), (2, "1"), (2, True)]
+)
+def test_decoder_rejects_bad_codes(n, code):
+    with pytest.raises(InputError, match="pair code"):
+        graph_from_pair_code(n, code)
+
+
+@pytest.mark.parametrize("n, code, key", [(14, 0, "14"), (14, 3 << 180, "14;12<>13")])
+def test_decoder_handles_large_n(n, code, key):
+    assert graph_from_pair_code(n, code).canonical_key() == key
+
+
+@pytest.mark.parametrize(
     "n, code, witness",
     [
         (3, 1 | (2 << 2) | (1 << 4), "directed cycle"),  # 0->1->2->0

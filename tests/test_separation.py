@@ -10,11 +10,10 @@ from magmoves import (
     find_separator,
     graph_from_pair_code,
     m_connected,
-    m_connected_naive,
     m_separated_sets,
 )
 
-from oracles import conditioning_sets
+from oracles import conditioning_sets, m_connected_naive
 
 
 def test_collider_blocks_marginally(g_collider):

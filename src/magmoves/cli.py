@@ -20,7 +20,7 @@ from .graph import (
     format_path,
     mag_violation,
 )
-from .equivalence import markov_equivalent, markov_equivalent_bruteforce
+from .equivalence import equivalence_witness, markov_equivalent_bruteforce
 from .io import graph_to_dot, graph_to_json_dict, load_graph
 from .separation import find_connecting_path, m_connected
 from .transform import (
@@ -111,11 +111,21 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     m1 = Mag(load_graph(args.first))
     m2 = Mag(load_graph(args.second))
     if args.oracle:
+        witness = None
         same = markov_equivalent_bruteforce(m1, m2)
     else:
-        same = markov_equivalent(m1, m2)
+        witness = equivalence_witness(m1, m2)
+        same = witness is None
     if args.format == "json":
-        print(json.dumps({"equivalent": same, "method": "oracle" if args.oracle else "graphical"}))
+        print(
+            json.dumps(
+                {
+                    "equivalent": same,
+                    "method": "oracle" if args.oracle else "graphical",
+                    "witness": witness,
+                }
+            )
+        )
     else:
         print("equivalent" if same else "not equivalent")
     return 0 if same else 1

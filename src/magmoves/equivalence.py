@@ -2,22 +2,33 @@
 
 Two MAGs over the same nodes are Markov equivalent iff they share adjacencies,
 unshielded colliders, and the collider status of every node discriminated by
-a path that discriminates it in both graphs.  The graphical test lives here
+a path that discriminates it in both graphs.
+
+The first two clauses form a per-graph *local key*; graphs whose keys differ
+are never equivalent.  The third needs no path enumeration.  A path
+``(w, q_k, ..., q_1, b, y)`` discriminates ``b`` in both graphs exactly when
+``q_1 -> y`` in both, ``q_1`` has an arrowhead from ``b`` in both, the
+``q_i`` are parents of ``y`` in both joined by edges bi-directed in both,
+and ``w``, a non-neighbour of ``y``, has an arrowhead into ``q_k`` in both.
+So for each triple ``(q_1, b, y)`` on which ``b``'s collider status differs,
+one breadth-first search over that bi-directed core decides whether such a
+path exists: O(n d^2 (n + m)) overall.  The graphical test lives here
 alongside a brute-force oracle that compares full separation signatures.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 
 from .errors import InputError
-from .graph import Mag, MixedGraph, iter_bits, require_path
+from .graph import Mag, MixedGraph, format_path, iter_bits, require_mags, require_path
 from .separation import separation_signature
 
 __all__ = [
     "unshielded_colliders",
     "is_discriminating_path",
     "discriminating_path_exists_for_triple",
+    "equivalence_witness",
     "markov_equivalent",
     "markov_equivalent_bruteforce",
 ]
@@ -37,6 +48,11 @@ def unshielded_colliders(g: MixedGraph) -> frozenset[tuple[int, int, int]]:
                     out.add((a, z, b))
     g._uc = frozenset(out)
     return g._uc
+
+
+def _local_key(g: MixedGraph):
+    # Adjacencies and unshielded colliders: equivalent MAGs share both.
+    return g.skeleton(), unshielded_colliders(g)
 
 
 def _collider_at(g: MixedGraph, seq: tuple[int, ...], i: int) -> bool:
@@ -82,6 +98,34 @@ def is_discriminating_path(g: MixedGraph, path: tuple[int, ...], z: int) -> bool
     return False
 
 
+def _entry_chain(
+    start: int, allowed: int, bi: list[int], entries: Callable[[int], int]
+) -> list[int] | None:
+    # Breadth-first search from ``start`` along ``bi`` (symmetric neighbour
+    # masks) through ``allowed`` nodes, for a node c with a nonzero mask
+    # ``entries(c)`` of nodes that may open the path into it.  On a hit,
+    # returns (w, c, ..., start): w the lowest node of that mask, then a
+    # shortest chain rebuilt back through the recorded levels.
+    levels = []
+    cur = 1 << start
+    seen = 0
+    while cur:
+        levels.append(cur)
+        for c in iter_bits(cur):
+            ends = entries(c)
+            if ends:
+                path = [(ends & -ends).bit_length() - 1, c]
+                for level in reversed(levels[:-1]):
+                    path.append(next(iter_bits(level & bi[path[-1]])))
+                return path
+        seen |= cur
+        nxt = 0
+        for s in iter_bits(cur):
+            nxt |= bi[s]
+        cur = nxt & allowed & ~seen
+    return None
+
+
 def discriminating_path_exists_for_triple(
     g: MixedGraph, z: int, x: int, y: int
 ) -> bool:
@@ -108,59 +152,84 @@ def discriminating_path_exists_for_triple(
     # z is internal to any such path, hence a collider and a parent of y.
     if not g.is_spouse(z, x) or not g.is_parent(z, y):
         return False
-    allowed = g._pa[y] & ~((1 << x) | (1 << y))
-    non_nbrs_y = ~(g._adj[y] | (1 << y))
-    cur = 1 << z
-    seen = 0
-    while cur:
-        for s in iter_bits(cur):
-            if (g._pa[s] | g._sp[s]) & non_nbrs_y:
-                return True
-        seen |= cur
-        nxt = 0
-        for s in iter_bits(cur):
-            nxt |= g._sp[s]
-        cur = nxt & allowed & ~seen
-    return False
+    pa, sp = g._pa, g._sp
+    allowed = pa[y] & ~((1 << x) | (1 << y))
+    far = ~(g._adj[y] | (1 << y))
+    return _entry_chain(z, allowed, sp, lambda c: (pa[c] | sp[c]) & far) is not None
 
 
-def _ordered_paths(g: MixedGraph, min_nodes: int) -> Iterator[tuple[int, ...]]:
-    # Every simple path in every direction, emitted as soon as it is long
-    # enough; extension continues past each yield.
-    def walk(w: int, visited: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for v in iter_bits(g._adj[w] & ~visited):
-            nxt = acc + (v,)
-            if len(nxt) >= min_nodes:
-                yield nxt
-            yield from walk(v, visited | (1 << v), nxt)
+def _local_witness(g1: MixedGraph, g2: MixedGraph) -> str:
+    # Why two graphs with different local keys differ: the first adjacency
+    # in only one of them, else the first unshielded collider in only one.
+    s1, s2 = g1.skeleton(), g2.skeleton()
+    if s1 != s2:
+        a, b = min(s1 ^ s2)
+        which = "first" if (a, b) in s1 else "second"
+        lbl = g1.labels
+        return f"{lbl[a]} and {lbl[b]} are adjacent in the {which} graph only"
+    uc1 = unshielded_colliders(g1)
+    triple = min(uc1 ^ unshielded_colliders(g2))
+    which, g = ("first", g1) if triple in uc1 else ("second", g2)
+    return f"unshielded collider {format_path(g, triple)} in the {which} graph only"
 
-    for s in range(g.n):
-        yield from walk(s, 1 << s, (s,))
+
+def _discriminating_witness(g1: MixedGraph, g2: MixedGraph) -> str | None:
+    # For graphs with equal local keys: a path that discriminates a node in
+    # both graphs with a different collider status, or None.
+    head1 = [a | s for a, s in zip(g1._pa, g1._sp)]
+    head2 = [a | s for a, s in zip(g2._pa, g2._sp)]
+    into = [a & b for a, b in zip(head1, head2)]  # arrowheads shared by both
+    bi = [a & b for a, b in zip(g1._sp, g2._sp)]
+    adj = g1._adj
+    for y in range(g1.n):
+        ybit = 1 << y
+        common = g1._pa[y] & g2._pa[y]
+        far = ~(adj[y] | ybit)
+        for q in iter_bits(common):
+            qy = (1 << q) | ybit
+            for b in iter_bits(adj[q] & adj[y] & into[q]):
+                collider = head1[b] & qy == qy
+                if collider == (head2[b] & qy == qy):
+                    continue
+                # b is not in common: as a parent of y in both graphs it
+                # would be a non-collider in both
+                chain = _entry_chain(q, common, bi, lambda c: into[c] & far)
+                if chain is not None:
+                    path = (*chain, b, y)
+                    return (
+                        f"discriminating path {format_path(g1, path)} in the "
+                        f"first graph, {format_path(g2, path)} in the second: "
+                        f"{g1.labels[b]} is a collider on it only in the "
+                        f"{'first' if collider else 'second'}"
+                    )
+    return None
 
 
-def _require_same_nodes(m1: Mag, m2: Mag) -> None:
-    if m1.n != m2.n or m1.labels != m2.labels:
-        raise InputError("graphs must share the same node set")
+def equivalence_witness(m1: Mag, m2: Mag) -> str | None:
+    """Why two MAGs on the same nodes are not Markov equivalent, or None
+    when they are.
+
+    Names the first adjacency present in one graph only, else an unshielded
+    collider present in one graph only, else a path that discriminates the
+    same node in both graphs with a different collider status there.
+    """
+    require_mags(m1, m2)
+    g1, g2 = m1.graph, m2.graph
+    if _local_key(g1) != _local_key(g2):
+        return _local_witness(g1, g2)
+    return _discriminating_witness(g1, g2)
 
 
 def markov_equivalent(m1: Mag, m2: Mag) -> bool:
-    """Graphical Markov equivalence test for two MAGs on the same nodes."""
-    _require_same_nodes(m1, m2)
-    g1, g2 = m1.graph, m2.graph
-    if g1.skeleton() != g2.skeleton():
-        return False
-    if unshielded_colliders(g1) != unshielded_colliders(g2):
-        return False
-    # Shared skeleton, so both graphs carry exactly the same paths.
-    for seq in _ordered_paths(g1, 4):
-        if _discriminates_forward(g1, seq) and _discriminates_forward(g2, seq):
-            i = len(seq) - 2
-            if _collider_at(g1, seq, i) != _collider_at(g2, seq, i):
-                return False
-    return True
+    """Graphical Markov equivalence test for two MAGs on the same nodes.
+
+    False whenever the graphs differ in adjacencies or unshielded colliders;
+    otherwise polynomial in the graph size.
+    """
+    return equivalence_witness(m1, m2) is None
 
 
 def markov_equivalent_bruteforce(m1: Mag, m2: Mag) -> bool:
     """Definitional test: identical m-separation verdicts on every query."""
-    _require_same_nodes(m1, m2)
+    require_mags(m1, m2)
     return separation_signature(m1.graph) == separation_signature(m2.graph)

@@ -60,6 +60,8 @@ class Edge:
     v: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, EdgeKind):
+            raise InputError(f"edge kind must be an EdgeKind, got {self.kind!r}")
         if self.u == self.v:
             raise InputError(f"self-loop at node {self.u}")
         if self.kind is EdgeKind.BIDIRECTED and self.u > self.v:
@@ -104,8 +106,8 @@ def _check_labels(n: int, labels: Iterable[str] | None) -> tuple[str, ...]:
     there are ``n`` distinct strings."""
     if labels is None:
         return tuple(f"V{i}" for i in range(n))
-    if not isinstance(labels, Iterable):
-        raise InputError(f"labels must be an iterable, got {labels!r}")
+    if not isinstance(labels, Iterable) or isinstance(labels, (str, bytes)):
+        raise InputError(f"labels must be an iterable of strings, got {labels!r}")
     labels = tuple(labels)
     if not all(isinstance(lbl, str) for lbl in labels):
         raise InputError(f"node labels must be strings, got {labels!r}")
@@ -172,12 +174,10 @@ class MixedGraph:
                 pairs[key] = _FWD if (u, v) == key else _REV
                 ch[u] |= 1 << v
                 pa[v] |= 1 << u
-            elif e.kind is EdgeKind.BIDIRECTED:
+            else:
                 pairs[key] = _BI
                 sp[u] |= 1 << v
                 sp[v] |= 1 << u
-            else:
-                raise InputError(f"edge kind must be an EdgeKind, got {e.kind!r}")
         self._adopt(n, _check_labels(n, labels), pairs, pa, ch, sp, None)
 
     @classmethod
@@ -591,6 +591,17 @@ def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
 def is_mag(g: MixedGraph) -> bool:
     """Ancestral and maximal."""
     return mag_violation(g) is None
+
+
+def require_mags(*mags: "Mag") -> None:
+    """Raise unless every argument is a :class:`Mag` and all share one node
+    set (node count and labels)."""
+    for m in mags:
+        if not isinstance(m, Mag):
+            raise InputError(f"expected a Mag, got {m!r}")
+    for m in mags[1:]:
+        if m.n != mags[0].n or m.labels != mags[0].labels:
+            raise InputError("graphs must share the same node set")
 
 
 def canonical_key(g: "MixedGraph | Mag") -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, MoveRejectedError
 from .equivalence import discriminating_path_exists_for_triple
-from .graph import Edge, EdgeKind, Mag, bidirected, directed, iter_bits
+from .graph import Edge, EdgeKind, Mag, bidirected, directed, iter_bits, require_mags
 
 __all__ = [
     "MoveKind",
@@ -199,8 +199,7 @@ def delta(m1: Mag, m2: Mag) -> frozenset[Edge]:
 
     Defined for MAGs on the same nodes with identical adjacencies.
     """
-    if m1.n != m2.n or m1.labels != m2.labels:
-        raise InputError("graphs must share the same node set")
+    require_mags(m1, m2)
     if m1.graph.skeleton() != m2.graph.skeleton():
         raise InputError("graphs must share the same adjacencies")
     return frozenset(
@@ -214,8 +213,9 @@ def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
     Stops once ``max_size`` graphs have been collected and flags the
     truncation.
     """
-    if max_size < 1:
-        raise InputError("max_size must be at least 1")
+    require_mags(m)
+    if not isinstance(max_size, int) or isinstance(max_size, bool) or max_size < 1:
+        raise InputError(f"max_size must be an integer >= 1, got {max_size!r}")
     start = m.canonical_key()
     graphs = {start: m}
     queue = deque([m])

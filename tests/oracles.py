@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from magmoves import is_discriminating_path, simple_paths_between
+from magmoves import Mag, is_discriminating_path, simple_paths_between
 from magmoves.graph import EdgeKind, MixedGraph, iter_bits
 
 
@@ -122,3 +122,44 @@ def m_connected_naive(g: MixedGraph, x: int, y: int, given=()) -> bool:
         ):
             return True
     return False
+
+
+def _colliders_naive(g: MixedGraph) -> set[tuple[int, int, int]]:
+    """Unshielded colliders (a, z, b), a < b, read off every node triple."""
+    return {
+        (a, z, b)
+        for z in range(g.n)
+        for a, b in combinations([v for v in range(g.n) if v != z], 2)
+        if g.arrowhead_toward(a, z)
+        and g.arrowhead_toward(b, z)
+        and not g.has_edge(a, b)
+    }
+
+
+def markov_equivalent_paths(m1: Mag, m2: Mag) -> bool:
+    """The graphical criterion read literally: same adjacencies, same
+    unshielded colliders, and every simple path that discriminates its
+    second-to-last node in both graphs gives that node the same collider
+    status in both."""
+    g1, g2 = m1.graph, m2.graph
+    if g1.skeleton() != g2.skeleton():
+        return False
+    if _colliders_naive(g1) != _colliders_naive(g2):
+        return False
+    for x in range(g1.n):
+        for y in range(g1.n):
+            if x == y or g1.has_edge(x, y):
+                continue  # a discriminating path has non-adjacent endpoints
+            for path in simple_paths_between(g1, x, y):
+                if len(path) < 4:
+                    continue
+                b = path[-2]
+                if is_discriminating_path(g1, path, b) and is_discriminating_path(
+                    g2, path, b
+                ):
+                    a = path[-3]
+                    if (g1.arrowhead_toward(a, b) and g1.arrowhead_toward(y, b)) != (
+                        g2.arrowhead_toward(a, b) and g2.arrowhead_toward(y, b)
+                    ):
+                        return False
+    return True

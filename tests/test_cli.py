@@ -180,6 +180,33 @@ def test_equiv(write_graph, capsys):
     assert capsys.readouterr().out.strip() == "not equivalent"
 
 
+def test_equiv_json_witness(write_graph, capsys):
+    chain = write_graph(
+        MixedGraph(3, [directed(0, 1), directed(1, 2)], labels=("X", "Z", "Y"))
+    )
+    coll = write_graph(
+        MixedGraph(3, [directed(0, 1), directed(2, 1)], labels=("X", "Z", "Y"))
+    )
+    assert main(["equiv", chain, coll, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "equivalent": False,
+        "method": "graphical",
+        "witness": "unshielded collider X->Z<-Y in the second graph only",
+    }
+    assert main(["equiv", chain, chain, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "equivalent": True,
+        "method": "graphical",
+        "witness": None,
+    }
+    assert main(["equiv", chain, coll, "--oracle", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "equivalent": False,
+        "method": "oracle",
+        "witness": None,
+    }
+
+
 def test_equiv_rejects_non_mag(nonmaximal_file, edge_file, capsys):
     assert main(["equiv", edge_file, nonmaximal_file]) == 2
     assert "not maximal" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from magmoves import (
+    EdgeKind,
     InputError,
     Mag,
     MixedGraph,
@@ -14,7 +15,8 @@ from magmoves import (
     partition_into_classes,
     unshielded_colliders,
 )
-from magmoves import _kernels, enumeration
+from magmoves import _kernels, enumeration, transform
+from magmoves.equivalence import _local_key
 
 
 def test_code_round_trip():
@@ -232,3 +234,94 @@ def test_ancestral_filter_counts_match_kernels():
             if is_ancestral(g) and is_mag(g):
                 total += 1
         assert total == len(list(enumeration.enumerate_mags(n)))
+
+
+def _full_pair_loop(mags, equivalent, signature):
+    # thm2_vs_oracle as the literal loop over every ordered pair
+    sigs = [signature(m.graph) for m in mags]
+    return [
+        f"{a.canonical_key()} vs {b.canonical_key()}: "
+        f"graphical={equivalent(a, b)} brute={sigs[i] == sigs[j]}"
+        for i, a in enumerate(mags)
+        for j, b in enumerate(mags)
+        if equivalent(a, b) != (sigs[i] == sigs[j])
+    ]
+
+
+def _same_key(a, b):
+    return _local_key(a.graph) == _local_key(b.graph)
+
+
+def _spouse_count(m):
+    return sum(bin(mask).count("1") for mask in m.graph._sp)
+
+
+@pytest.mark.parametrize(
+    "equivalent, signature",
+    [
+        # also asks for as many bi-directed edges on both sides
+        (lambda a, b: _same_key(a, b) and _spouse_count(a) == _spouse_count(b), None),
+        # a graph is equivalent only to itself
+        (lambda a, b: _same_key(a, b) and a == b, None),
+        # the real test against a signature whose classes span buckets
+        (None, lambda g: len(g.skeleton())),
+    ],
+    ids=["spouse-count", "identity", "coarse-signature"],
+)
+def test_bucketed_oracle_check_matches_full_pair_loop(
+    monkeypatch, mags_by_n, equivalent, signature
+):
+    equivalent = equivalent or enumeration.markov_equivalent
+    signature = signature or enumeration.separation_signature
+    monkeypatch.setattr(enumeration, "markov_equivalent", equivalent)
+    monkeypatch.setattr(enumeration, "separation_signature", signature)
+    want = _full_pair_loop(mags_by_n[3], equivalent, signature)
+    got = enumeration.verify_theorems(3).checks["thm2_vs_oracle"]
+    assert want
+    assert list(got.violations) == want
+    assert got.cases == 56**2
+
+
+def _literal_counterexamples(n):
+    # The conjecture sweep edge by edge: an equivalent pair is a
+    # counterexample when no differing edge is blanketed on either side.
+    part = partition_into_classes(enumeration.enumerate_mags(n))
+    out = []
+    for keys in part.classes:
+        members = [part.graphs_by_key[k] for k in keys]
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                d = transform.delta(a, b)
+                if not any(_edge_blanketed(m, e) for e in d for m in (a, b)):
+                    out.append(
+                        (a.canonical_key(), b.canonical_key(),
+                         tuple(sorted(e.token() for e in d)))
+                    )
+    return out
+
+
+def _edge_blanketed(m, edge):
+    e = m.graph.edge_between(edge.u, edge.v)
+    if e.kind is EdgeKind.DIRECTED:
+        return transform.is_blanketed_directed(m, e.u, e.v)
+    return transform.is_blanketed_bidirected_against(
+        m, e.u, e.v
+    ) or transform.is_blanketed_bidirected_against(m, e.v, e.u)
+
+
+def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
+    # Deliberately wrong blanket predicates, so counterexamples exist.
+    real_dir = transform.is_blanketed_directed
+    real_bi = transform.is_blanketed_bidirected_against
+    monkeypatch.setattr(
+        transform, "is_blanketed_directed", lambda m, x, y: x < y and real_dir(m, x, y)
+    )
+    monkeypatch.setattr(
+        transform,
+        "is_blanketed_bidirected_against",
+        lambda m, x, y: x > y and real_bi(m, x, y),
+    )
+    want = _literal_counterexamples(4)
+    rep = enumeration.test_conjecture1(4)
+    assert want
+    assert list(rep.counterexamples) == want

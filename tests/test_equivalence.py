@@ -1,19 +1,29 @@
+import random
+import re
+import time
+
 import pytest
 
 from magmoves import (
     InputError,
     Mag,
     MixedGraph,
+    apply_move,
     bidirected,
     directed,
     discriminating_path_exists_for_triple,
+    equivalence_witness,
+    format_path,
     is_discriminating_path,
+    is_mag,
+    legal_moves,
     markov_equivalent,
     markov_equivalent_bruteforce,
     unshielded_colliders,
 )
+from magmoves.equivalence import _local_key
 
-from oracles import discriminating_triple_naive
+from oracles import discriminating_triple_naive, markov_equivalent_paths
 
 
 def test_unshielded_collider_directed(g_collider):
@@ -166,3 +176,179 @@ def test_equivalence_relation_on_three_nodes(mags_by_n):
     for a in mags:
         for b in mags:
             assert markov_equivalent(a, b) == markov_equivalent(b, a)
+
+
+def test_node_set_check_rejects_ill_typed_arguments(g_edge):
+    m = Mag(g_edge)
+    for call in (
+        lambda: markov_equivalent(m, "x"),
+        lambda: markov_equivalent(None, m),
+        lambda: markov_equivalent_bruteforce(m, None),
+        lambda: equivalence_witness(m, g_edge),
+    ):
+        with pytest.raises(InputError, match="expected a Mag"):
+            call()
+
+
+def _buckets(mags):
+    out = {}
+    for m in mags:
+        out.setdefault(_local_key(m.graph), []).append(m)
+    return out.values()
+
+
+def test_graphical_test_matches_path_oracle_exhaustively(mags_by_n):
+    pairs = 0
+    for n in (1, 2, 3, 4):
+        for members in _buckets(mags_by_n[n]):
+            for a in members:
+                for b in members:
+                    pairs += 1
+                    assert markov_equivalent(a, b) == markov_equivalent_paths(
+                        a, b
+                    ), (a, b)
+    assert pairs == 89825
+
+
+def test_graphical_test_rejects_differing_local_keys(mags_by_n):
+    for n in (1, 2, 3):
+        for a in mags_by_n[n]:
+            for b in mags_by_n[n]:
+                if _local_key(a.graph) != _local_key(b.graph):
+                    assert not markov_equivalent(a, b), (a, b)
+
+
+def _random_dag(rng, n, degree):
+    order = list(range(n))
+    rng.shuffle(order)
+    p = degree / (n - 1)
+    return MixedGraph(
+        n,
+        [
+            directed(order[i], order[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < p
+        ],
+    )
+
+
+def _mark_change_walk(rng, m, steps):
+    # MAGs reached by changing the mark of one random edge at a time,
+    # keeping each change that leaves a MAG; the skeleton never moves.
+    out = []
+    for _ in range(steps):
+        e = rng.choice(m.edges)
+        new = rng.choice(
+            [
+                f
+                for f in (directed(e.u, e.v), directed(e.v, e.u), bidirected(e.u, e.v))
+                if f != e
+            ]
+        )
+        g = m.graph.with_edge(new)
+        if is_mag(g):
+            m = Mag(g)
+            out.append(m)
+    return out
+
+
+def test_graphical_test_matches_path_oracle_on_random_walks():
+    rng = random.Random(20261018)
+    pairs = hard = 0
+    while pairs < 3000:
+        n = rng.randint(5, 9)
+        start = Mag(_random_dag(rng, n, rng.uniform(1.5, 4.5)))
+        if not start.edges:
+            continue
+        prev = start
+        for m in _mark_change_walk(rng, start, 30):
+            for a in {start, prev}:
+                got = markov_equivalent(a, m)
+                assert got == markov_equivalent_paths(a, m), (a, m)
+                pairs += 1
+                hard += not got and _local_key(a.graph) == _local_key(m.graph)
+            prev = m
+    # non-equivalent pairs that only a discriminating path tells apart
+    assert hard >= 10
+
+
+def test_licensed_move_partners_are_equivalent_at_scale():
+    rng = random.Random(5)
+    worst = 0.0
+    for n in (50, 75, 100):
+        for degree in (3, 6):
+            m = Mag(_random_dag(rng, n, degree))
+            partner = m
+            for _ in range(40):
+                partner = apply_move(partner, rng.choice(legal_moves(partner)))
+            assert partner != m
+            t0 = time.perf_counter()
+            assert markov_equivalent(m, partner)
+            assert markov_equivalent(partner, m)
+            worst = max(worst, time.perf_counter() - t0)
+    assert worst < 0.5  # two calls; about 4 ms at n = 100 on a 2-CPU machine
+
+
+def test_witness_names_first_differing_adjacency(g_chain, g_collider):
+    lone = Mag(MixedGraph(3, [directed(0, 1)], labels=g_chain.labels))
+    assert markov_equivalent(Mag(g_chain), Mag(g_chain)) is True
+    assert equivalence_witness(Mag(g_chain), Mag(g_chain)) is None
+    assert (
+        equivalence_witness(Mag(g_chain), lone)
+        == "Z and Y are adjacent in the first graph only"
+    )
+    assert (
+        equivalence_witness(lone, Mag(g_collider))
+        == "Z and Y are adjacent in the second graph only"
+    )
+
+
+def test_witness_names_unshielded_collider(g_chain, g_bicollider):
+    assert (
+        equivalence_witness(Mag(g_chain), Mag(g_bicollider))
+        == "unshielded collider X<->Z<->Y in the second graph only"
+    )
+
+
+def test_witness_names_discriminating_path(g_discpath):
+    m1 = Mag(g_discpath)
+    m2 = Mag(g_discpath.with_edge(bidirected(2, 3)))
+    assert equivalence_witness(m1, m2) == (
+        "discriminating path W->Z<->X->Y in the first graph, W->Z<->X<->Y in "
+        "the second: X is a collider on it only in the second"
+    )
+
+
+def test_discriminating_witnesses_satisfy_definition_exhaustively(mags_by_n):
+    pattern = re.compile(
+        r"discriminating path (\S+) in the first graph, (\S+) in the second: "
+        r"(\S+) is a collider on it only in the (first|second)"
+    )
+    found = 0
+    for n in (3, 4):
+        for members in _buckets(mags_by_n[n]):
+            for a in members:
+                for b in members:
+                    text = equivalence_witness(a, b)
+                    if text is None:
+                        continue
+                    found += 1
+                    shown1, shown2, node, which = pattern.fullmatch(text).groups()
+                    g1, g2 = a.graph, b.graph
+                    path = tuple(
+                        g1.node_id(lbl) for lbl in re.split(r"<->|->|<-", shown1)
+                    )
+                    z = g1.node_id(node)
+                    assert z == path[-2]
+                    assert format_path(g1, path) == shown1
+                    assert format_path(g2, path) == shown2
+                    assert is_discriminating_path(g1, path, z)
+                    assert is_discriminating_path(g2, path, z)
+                    before, end = path[-3], path[-1]
+                    collider = [
+                        g.arrowhead_toward(before, z) and g.arrowhead_toward(end, z)
+                        for g in (g1, g2)
+                    ]
+                    assert collider == [which == "first", which == "second"]
+    assert found == 384

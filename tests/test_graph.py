@@ -57,14 +57,22 @@ def test_construction_rejects_ill_typed_arguments():
     for edge in (Edge(EdgeKind.DIRECTED, "a", 1), Edge(EdgeKind.BIDIRECTED, 0, 1.0)):
         with pytest.raises(InputError, match="non-integer endpoint"):
             MixedGraph(2, [edge])
-    for args, kwargs in [
-        ((2, 5), {}),
-        ((2,), {"labels": 5}),
-        ((2,), {"labels": [1, 2]}),
-        ((2, [Edge("directed", 0, 1)]), {}),
+    for build in [
+        lambda: MixedGraph(2, 5),
+        lambda: MixedGraph(2, labels=5),
+        lambda: MixedGraph(2, labels=[1, 2]),
+        lambda: MixedGraph(2, [Edge("directed", 0, 1)]),
+        lambda: MixedGraph(2, labels="ab"),
+        lambda: MixedGraph(2, labels=b"ab"),
     ]:
         with pytest.raises(InputError):
-            MixedGraph(*args, **kwargs)
+            build()
+
+
+def test_edge_rejects_unknown_kind():
+    for kind in ("directed", "bidirected", None, 1):
+        with pytest.raises(InputError, match="edge kind"):
+            Edge(kind, 0, 1)
 
 
 def test_bidirected_edge_normalizes_endpoints():

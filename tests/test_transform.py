@@ -195,3 +195,17 @@ def test_closure_members_all_equivalent():
     assert not res.truncated
     for m in res.graphs.values():
         assert markov_equivalent_bruteforce(seed, m)
+
+
+def test_pair_and_closure_calls_reject_ill_typed_arguments(g_edge):
+    m = Mag(g_edge)
+    for call in (
+        lambda: delta(m, 5),
+        lambda: delta("g", m),
+        lambda: equivalence_class_closure("g"),
+        lambda: equivalence_class_closure(m, max_size="3"),
+        lambda: equivalence_class_closure(m, max_size=True),
+        lambda: equivalence_class_closure(m, max_size=2.0),
+    ):
+        with pytest.raises(InputError):
+            call()

@@ -21,10 +21,12 @@ from .graph import (
     Mag,
     MixedGraph,
     _check_labels,
+    _token,
     bidirected,
     directed,
     is_mag,
     iter_bits,
+    require_mags,
 )
 from .equivalence import _local_key, markov_equivalent, markov_equivalent_bruteforce
 from .separation import separation_signature
@@ -63,13 +65,13 @@ def _code_table(n: int) -> tuple[tuple[str, ...], tuple]:
     # states 1..3 (bi-directed edges run tail u to head v too).
     rows = []
     for u, v in _kernels.pair_list(n):
-        bu, bv = 1 << u, 1 << v
+        bu, bv, su, sv = 1 << u, 1 << v, str(u), str(v)
         rows.append(
             (
                 None,
-                ((u, v), f"{u}>{v}", u, bu, v, bv),
-                ((u, v), f"{v}>{u}", v, bv, u, bu),
-                ((u, v), f"{u}<>{v}", u, bu, v, bv),
+                ((u, v), _token(su, sv, False), u, bu, v, bv),
+                ((u, v), _token(sv, su, False), v, bv, u, bu),
+                ((u, v), _token(su, sv, True), u, bu, v, bv),
             )
         )
     return tuple(f"V{i}" for i in range(n)), tuple(rows)
@@ -176,11 +178,14 @@ class ClassPartition:
 
 def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
     """Group MAGs by separation signature (definitional equivalence)."""
+    if not isinstance(mags, Iterable):
+        raise InputError(f"expected an iterable of Mags, got {mags!r}")
     by_key: dict[str, Mag] = {}
     groups: dict[int, list[str]] = {}
     n = None
     labels = None
     for m in mags:
+        require_mags(m)
         if n is None:
             n, labels = m.n, m.labels
         elif m.n != n or m.labels != labels:

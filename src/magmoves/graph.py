@@ -62,6 +62,10 @@ class Edge:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, EdgeKind):
             raise InputError(f"edge kind must be an EdgeKind, got {self.kind!r}")
+        if type(self.u) is not int or type(self.v) is not int:
+            raise InputError(
+                f"edge ({self.u!r}, {self.v!r}) has a non-integer endpoint"
+            )
         if self.u == self.v:
             raise InputError(f"self-loop at node {self.u}")
         if self.kind is EdgeKind.BIDIRECTED and self.u > self.v:
@@ -80,7 +84,32 @@ class Edge:
             u, v = str(a), str(b)
         else:
             u, v = labels[a], labels[b]
-        return f"{u}>{v}" if self.kind is EdgeKind.DIRECTED else f"{u}<>{v}"
+        return _token(u, v, self.kind is EdgeKind.BIDIRECTED)
+
+
+def _token(u: str, v: str, bi: bool) -> str:
+    # The one place the edge-token format is written down.
+    return f"{u}<>{v}" if bi else f"{u}>{v}"
+
+
+def _put_edge(
+    pairs: dict[tuple[int, int], int],
+    pa: list[int],
+    ch: list[int],
+    sp: list[int],
+    e: Edge,
+) -> None:
+    # Record ``e`` in the pair marks and the pa/ch/sp rows; the rows must
+    # hold no edge on ``e.pair``.
+    u, v = e.u, e.v
+    if e.kind is EdgeKind.DIRECTED:
+        pairs[e.pair] = _FWD if u < v else _REV
+        ch[u] |= 1 << v
+        pa[v] |= 1 << u
+    else:
+        pairs[u, v] = _BI
+        sp[u] |= 1 << v
+        sp[v] |= 1 << u
 
 
 def directed(u: int, v: int) -> Edge:
@@ -161,8 +190,6 @@ class MixedGraph:
             if not isinstance(e, Edge):
                 raise InputError(f"expected an Edge, got {e!r}")
             u, v = e.u, e.v
-            if type(u) is not int or type(v) is not int:
-                raise InputError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) references an unknown node")
             key = e.pair
@@ -170,14 +197,7 @@ class MixedGraph:
                 raise InputError(
                     f"more than one edge between nodes {key[0]} and {key[1]}"
                 )
-            if e.kind is EdgeKind.DIRECTED:
-                pairs[key] = _FWD if (u, v) == key else _REV
-                ch[u] |= 1 << v
-                pa[v] |= 1 << u
-            else:
-                pairs[key] = _BI
-                sp[u] |= 1 << v
-                sp[v] |= 1 << u
+            _put_edge(pairs, pa, ch, sp, e)
         self._adopt(n, _check_labels(n, labels), pairs, pa, ch, sp, None)
 
     @classmethod
@@ -337,14 +357,29 @@ class MixedGraph:
     def with_edge(self, edge: Edge) -> "MixedGraph":
         """Copy of this graph with the edge on ``edge.pair`` replaced (or
         added if the pair was non-adjacent)."""
-        keep = [e for e in self.edges if e.pair != edge.pair]
-        keep.append(edge)
-        return MixedGraph(self.n, keep, labels=self.labels)
+        if not isinstance(edge, Edge):
+            raise InputError(f"expected an Edge, got {edge!r}")
+        u, v = edge.u, edge.v
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InputError(f"edge ({u}, {v}) references an unknown node")
+        pairs = dict(self._pairs)
+        pa, ch, sp = list(self._pa), list(self._ch), list(self._sp)
+        keep_u, keep_v = ~(1 << v), ~(1 << u)
+        for rows in (pa, ch, sp):
+            rows[u] &= keep_u
+            rows[v] &= keep_v
+        _put_edge(pairs, pa, ch, sp, edge)
+        return MixedGraph._trusted(self.n, self.labels, pairs, pa, ch, sp, None)
 
     def canonical_key(self) -> str:
         """Deterministic string form: node count, then sorted edge tokens."""
         if self._key is None:
-            toks = sorted(e.token() for e in self.edges)
+            toks = sorted(
+                _token(str(j), str(i), False)
+                if mark == _REV
+                else _token(str(i), str(j), mark == _BI)
+                for (i, j), mark in self._pairs.items()
+            )
             self._key = ";".join([str(self.n)] + toks)
         return self._key
 
@@ -407,15 +442,27 @@ def simple_paths_between(
     if x == y:
         raise InputError("path endpoints must differ")
     ybit = 1 << y
-
-    def walk(w: int, visited: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        nbrs = g._adj[w] & ~visited
+    adj = g._adj
+    # An explicit stack of (path, visited, unexplored neighbours) frames, so
+    # long paths do not hit the interpreter's recursion limit.
+    visited = 1 << x
+    nbrs = adj[x] & ~visited
+    if nbrs & ybit:
+        yield (x, y)
+    stack = [((x,), visited, nbrs & ~ybit)]
+    while stack:
+        path, visited, rest = stack[-1]
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        stack[-1] = (path, visited, rest ^ low)
+        path += (low.bit_length() - 1,)
+        visited |= low
+        nbrs = adj[path[-1]] & ~visited
         if nbrs & ybit:
-            yield acc + (y,)
-        for v in iter_bits(nbrs & ~ybit):
-            yield from walk(v, visited | (1 << v), acc + (v,))
-
-    yield from walk(x, 1 << x, (x,))
+            yield path + (y,)
+        stack.append((path, visited, nbrs & ~ybit))
 
 
 # -- validity ----------------------------------------------------------------

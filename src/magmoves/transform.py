@@ -4,7 +4,9 @@ Three moves: turn a directed edge bi-directed, turn a bi-directed edge
 directed, and reverse a directed edge.  The first two are licensed by a
 blanket predicate on the edge, the third by an exact parent/spouse match
 between the endpoints.  Applying a licensed move always yields a MAG again;
-``apply_move`` re-validates the result anyway.
+``apply_move`` re-validates the result anyway.  The closure walk validates
+each graph it has not reached before exactly once, and skips moves that
+lead back to a graph it already holds without building a ``Mag``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ from dataclasses import dataclass
 
 from .errors import InputError, MoveRejectedError
 from .equivalence import discriminating_path_exists_for_triple
-from .graph import Edge, EdgeKind, Mag, bidirected, directed, iter_bits, require_mags
+from .graph import (
+    _BI,
+    _FWD,
+    Edge,
+    Mag,
+    bidirected,
+    directed,
+    iter_bits,
+    require_mags,
+)
 
 __all__ = [
     "MoveKind",
@@ -61,6 +72,7 @@ class ClosureResult:
 
 
 def _require_directed(m: Mag, x: int, y: int) -> None:
+    require_mags(m)
     if not m.graph.is_parent(x, y):
         raise InputError(
             f"expected the directed edge {m.labels[x]} -> {m.labels[y]}"
@@ -68,6 +80,7 @@ def _require_directed(m: Mag, x: int, y: int) -> None:
 
 
 def _require_bidirected(m: Mag, x: int, y: int) -> None:
+    require_mags(m)
     if not m.graph.is_spouse(x, y):
         raise InputError(
             f"expected the bi-directed edge {m.labels[x]} <-> {m.labels[y]}"
@@ -149,6 +162,15 @@ def is_screened(m: Mag, x: int, y: int) -> bool:
     return screened_violation(m, x, y) is None
 
 
+def _replacement(move: MoveDescriptor) -> Edge:
+    # The edge a move of a known kind puts on its pair.
+    if move.kind is MoveKind.DIR_TO_BI:
+        return bidirected(move.x, move.y)
+    if move.kind is MoveKind.BI_TO_DIR:
+        return directed(move.x, move.y)
+    return directed(move.y, move.x)
+
+
 def apply_move(m: Mag, move: MoveDescriptor) -> Mag:
     """Apply a licensed move and return the resulting MAG.
 
@@ -156,39 +178,40 @@ def apply_move(m: Mag, move: MoveDescriptor) -> Mag:
     :class:`InputError` when the named edge is missing or carries the wrong
     mark.  The result is validated from scratch.
     """
+    require_mags(m)
+    if not isinstance(move, MoveDescriptor):
+        raise InputError(f"expected a MoveDescriptor, got {move!r}")
     x, y = move.x, move.y
     if move.kind is MoveKind.DIR_TO_BI:
         reason = blanketed_directed_violation(m, x, y)
-        replacement = bidirected(x, y)
     elif move.kind is MoveKind.BI_TO_DIR:
         reason = blanketed_bidirected_violation(m, x, y)
-        replacement = directed(x, y)
     elif move.kind is MoveKind.REVERSE:
         reason = screened_violation(m, x, y)
-        replacement = directed(y, x)
     else:
         raise InputError(f"unknown move kind {move.kind!r}")
     if reason is not None:
         label = "not screened" if move.kind is MoveKind.REVERSE else "not blanketed"
         raise MoveRejectedError(f"{label}: {reason}")
-    return Mag(m.graph.with_edge(replacement))
+    return Mag(m.graph.with_edge(_replacement(move)))
 
 
 def legal_moves(m: Mag) -> list[MoveDescriptor]:
     """Every move whose predicate passes, sorted by kind then endpoints."""
+    require_mags(m)
     out = []
-    g = m.graph
-    for e in g.edges:
-        if e.kind is EdgeKind.DIRECTED:
-            if is_blanketed_directed(m, e.u, e.v):
-                out.append(MoveDescriptor(MoveKind.DIR_TO_BI, e.u, e.v))
-            if is_screened(m, e.u, e.v):
-                out.append(MoveDescriptor(MoveKind.REVERSE, e.u, e.v))
+    for (i, j), mark in m.graph._pairs.items():
+        if mark == _BI:
+            if is_blanketed_bidirected_against(m, i, j):
+                out.append(MoveDescriptor(MoveKind.BI_TO_DIR, i, j))
+            if is_blanketed_bidirected_against(m, j, i):
+                out.append(MoveDescriptor(MoveKind.BI_TO_DIR, j, i))
         else:
-            if is_blanketed_bidirected_against(m, e.u, e.v):
-                out.append(MoveDescriptor(MoveKind.BI_TO_DIR, e.u, e.v))
-            if is_blanketed_bidirected_against(m, e.v, e.u):
-                out.append(MoveDescriptor(MoveKind.BI_TO_DIR, e.v, e.u))
+            u, v = (i, j) if mark == _FWD else (j, i)
+            if is_blanketed_directed(m, u, v):
+                out.append(MoveDescriptor(MoveKind.DIR_TO_BI, u, v))
+            if is_screened(m, u, v):
+                out.append(MoveDescriptor(MoveKind.REVERSE, u, v))
     kinds = {MoveKind.DIR_TO_BI: 0, MoveKind.BI_TO_DIR: 1, MoveKind.REVERSE: 2}
     out.sort(key=lambda mv: (kinds[mv.kind], mv.x, mv.y))
     return out
@@ -211,7 +234,9 @@ def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
     """Breadth-first closure of ``m`` under licensed moves.
 
     Stops once ``max_size`` graphs have been collected and flags the
-    truncation.
+    truncation.  Each move is one ``legal_moves`` entry, so its predicate is
+    not run again; a neighbour whose key the walk already holds is skipped,
+    and only a new one is validated as a ``Mag``.
     """
     require_mags(m)
     if not isinstance(max_size, int) or isinstance(max_size, bool) or max_size < 1:
@@ -223,13 +248,14 @@ def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
     while queue and not truncated:
         cur = queue.popleft()
         for mv in legal_moves(cur):
-            nxt = apply_move(cur, mv)
-            key = nxt.canonical_key()
+            g = cur.graph.with_edge(_replacement(mv))
+            key = g.canonical_key()
             if key in graphs:
                 continue
             if len(graphs) >= max_size:
                 truncated = True
                 break
+            nxt = Mag(g)
             graphs[key] = nxt
             queue.append(nxt)
     return ClosureResult(frozenset(graphs), graphs, truncated)

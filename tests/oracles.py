@@ -6,9 +6,17 @@ production algorithms have something honest to disagree with.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
-from magmoves import Mag, is_discriminating_path, simple_paths_between
+from magmoves import (
+    Mag,
+    apply_move,
+    is_discriminating_path,
+    legal_moves,
+    m_connected,
+    simple_paths_between,
+)
 from magmoves.graph import EdgeKind, MixedGraph, iter_bits
 
 
@@ -78,6 +86,21 @@ def inducing_path_exists_naive(g: MixedGraph, x: int, y: int) -> bool:
         if ok:
             return True
     return False
+
+
+def simple_paths_recursive(g: MixedGraph, x: int, y: int):
+    """Every simple path from x to y by a recursive depth-first walk that
+    tries neighbours in ascending order, reaching y before going deeper."""
+
+    def walk(w, visited, acc):
+        nbrs = [v for v in range(g.n) if g.has_edge(w, v) and v not in visited]
+        if y in nbrs:
+            yield acc + (y,)
+        for v in nbrs:
+            if v != y:
+                yield from walk(v, visited | {v}, acc + (v,))
+
+    yield from walk(x, {x}, (x,))
 
 
 def discriminating_triple_naive(g: MixedGraph, z: int, x: int, y: int) -> bool:
@@ -163,3 +186,60 @@ def markov_equivalent_paths(m1: Mag, m2: Mag) -> bool:
                     ):
                         return False
     return True
+
+
+def find_separator_bruteforce(g: MixedGraph, x: int, y: int) -> frozenset[int] | None:
+    """Try every conditioning set, smallest first and in ``combinations``
+    order within a size; the first that m-separates wins."""
+    others = [v for v in range(g.n) if v != x and v != y]
+    for size in range(len(others) + 1):
+        for combo in combinations(others, size):
+            if not m_connected(g, x, y, combo):
+                return frozenset(combo)
+    return None
+
+
+def first_vertex_cut_bruteforce(
+    rows: list[int], x: int, y: int, inner: int
+) -> list[int]:
+    """The first set of ``inner`` nodes, smallest first and in
+    ``combinations`` order within a size, whose removal leaves no path from
+    ``x`` to ``y`` in the undirected graph with adjacency bitmasks ``rows``."""
+
+    def reaches(removed: int) -> bool:
+        seen = (1 << x) | removed
+        stack = [x]
+        while stack:
+            for w in iter_bits(rows[stack.pop()] & ~seen):
+                if w == y:
+                    return True
+                seen |= 1 << w
+                stack.append(w)
+        return False
+
+    nodes = list(iter_bits(inner))
+    for size in range(len(nodes) + 1):
+        for combo in combinations(nodes, size):
+            if not reaches(sum(1 << v for v in combo)):
+                return list(combo)
+    raise AssertionError("x and y are adjacent")
+
+
+def closure_by_apply_move(m: Mag, max_size: int) -> tuple[dict[str, Mag], bool]:
+    """Breadth-first walk that sends every legal move through ``apply_move``
+    and stops once ``max_size`` graphs are held; returns the graphs in the
+    order reached and whether the walk was cut short."""
+    graphs = {m.canonical_key(): m}
+    queue = deque([m])
+    while queue:
+        cur = queue.popleft()
+        for mv in legal_moves(cur):
+            nxt = apply_move(cur, mv)
+            key = nxt.canonical_key()
+            if key in graphs:
+                continue
+            if len(graphs) >= max_size:
+                return graphs, True
+            graphs[key] = nxt
+            queue.append(nxt)
+    return graphs, False

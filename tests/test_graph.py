@@ -11,6 +11,7 @@ from magmoves import (
     ancestors,
     bidirected,
     directed,
+    graph_from_pair_code,
     inducing_path_exists,
     is_ancestral,
     is_mag,
@@ -25,6 +26,7 @@ from oracles import (
     is_ancestral_naive,
     is_inducing_path,
     is_mag_naive,
+    simple_paths_recursive,
 )
 
 
@@ -54,9 +56,12 @@ def test_construction_rejects_ill_typed_arguments():
     for n in (2.5, "2", None, True):
         with pytest.raises(InputError, match="node count"):
             MixedGraph(n)
-    for edge in (Edge(EdgeKind.DIRECTED, "a", 1), Edge(EdgeKind.BIDIRECTED, 0, 1.0)):
+    for edge in (
+        lambda: Edge(EdgeKind.DIRECTED, "a", 1),
+        lambda: Edge(EdgeKind.BIDIRECTED, 0, 1.0),
+    ):
         with pytest.raises(InputError, match="non-integer endpoint"):
-            MixedGraph(2, [edge])
+            MixedGraph(2, [edge()])
     for build in [
         lambda: MixedGraph(2, 5),
         lambda: MixedGraph(2, labels=5),
@@ -67,6 +72,28 @@ def test_construction_rejects_ill_typed_arguments():
     ]:
         with pytest.raises(InputError):
             build()
+
+
+def test_edge_rejects_ill_typed_endpoints():
+    for build in (
+        lambda: bidirected("a", 1),
+        lambda: bidirected(1, "a"),
+        lambda: directed(0, None),
+        lambda: directed(True, 1),
+    ):
+        with pytest.raises(InputError, match="non-integer endpoint"):
+            build()
+
+
+def test_with_edge_rejects_ill_typed_arguments(g_edge):
+    for call in (
+        lambda: g_edge.with_edge("x"),
+        lambda: g_edge.with_edge(None),
+        lambda: g_edge.with_edge(directed(0, 2)),
+        lambda: g_edge.with_edge(bidirected(-1, 1)),
+    ):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_edge_rejects_unknown_kind():
@@ -268,10 +295,51 @@ def test_with_edge_replaces_mark(g_edge):
     assert g.labels == g_edge.labels
 
 
+def _rows(g):
+    return (g.n, g.labels, g._pairs, g._pa, g._ch, g._sp, g._adj)
+
+
+def test_with_edge_matches_edge_list_rebuild_exhaustively():
+    for n in (2, 3):
+        labels = tuple("abc"[:n])
+        for code in range(4 ** (n * (n - 1) // 2)):
+            g = graph_from_pair_code(n, code, labels=labels)
+            before = _rows(g)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for new in (directed(i, j), directed(j, i), bidirected(i, j)):
+                        kept = [e for e in g.edges if e.pair != new.pair]
+                        want = MixedGraph(n, kept + [new], labels=labels)
+                        got = g.with_edge(new)
+                        assert _rows(got) == _rows(want)
+                        assert got.canonical_key() == want.canonical_key()
+            assert _rows(g) == before  # the source graph is left as it was
+
+
+def test_canonical_key_matches_sorted_edge_tokens_exhaustively():
+    for n in range(1, 5):
+        for code in range(4 ** (n * (n - 1) // 2)):
+            g = graph_from_pair_code(n, code)
+            tokens = sorted(e.token() for e in g.edges)
+            assert g.canonical_key() == ";".join([str(n)] + tokens)
+            assert MixedGraph(n, g.edges).canonical_key() == g.canonical_key()
+
+
 def test_simple_paths_enumeration(g_chain):
     assert list(simple_paths_between(g_chain, 0, 2)) == [(0, 1, 2)]
     full = MixedGraph(3, [directed(0, 1), directed(1, 2), directed(0, 2)])
     assert sorted(simple_paths_between(full, 0, 2)) == [(0, 1, 2), (0, 2)]
+
+
+def test_simple_paths_order_matches_recursive_walk_exhaustively():
+    for n in range(2, 5):
+        for code in range(4 ** (n * (n - 1) // 2)):
+            g = graph_from_pair_code(n, code)
+            for x in range(n):
+                for y in range(n):
+                    if x != y:
+                        want = list(simple_paths_recursive(g, x, y))
+                        assert list(simple_paths_between(g, x, y)) == want
 
 
 def test_dag_is_always_a_mag():

@@ -20,6 +20,13 @@ from magmoves import (
     partition_into_classes,
 )
 from magmoves.enumeration import enumerate_mags
+from magmoves.transform import (
+    blanketed_bidirected_violation,
+    blanketed_directed_violation,
+    screened_violation,
+)
+
+from oracles import closure_by_apply_move
 
 
 def test_blanketed_vacuous(g_edge):
@@ -209,3 +216,40 @@ def test_pair_and_closure_calls_reject_ill_typed_arguments(g_edge):
     ):
         with pytest.raises(InputError):
             call()
+
+
+def test_move_calls_reject_ill_typed_arguments(g_edge):
+    m = Mag(g_edge)
+    move = MoveDescriptor(MoveKind.DIR_TO_BI, 0, 1)
+    for call in (
+        lambda: legal_moves("g"),
+        lambda: legal_moves(g_edge),
+        lambda: apply_move("g", move),
+        lambda: apply_move(g_edge, move),
+        lambda: apply_move(m, "x"),
+        lambda: apply_move(m, None),
+        lambda: apply_move(m, MoveDescriptor("reverse", 0, 1)),
+        lambda: is_blanketed_directed("g", 0, 1),
+        lambda: is_blanketed_bidirected_against(g_edge, 0, 1),
+        lambda: is_screened(None, 0, 1),
+        lambda: blanketed_directed_violation("g", 0, 1),
+        lambda: blanketed_bidirected_violation("g", 0, 1),
+        lambda: screened_violation("g", 0, 1),
+        lambda: partition_into_classes([1]),
+        lambda: partition_into_classes([m, g_edge]),
+        lambda: partition_into_classes(5),
+    ):
+        with pytest.raises(InputError):
+            call()
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 5, 1000])
+def test_closure_matches_apply_move_walk_exhaustively(mags_by_n, max_size):
+    for n in (1, 2, 3, 4):
+        for m in mags_by_n[n]:
+            res = equivalence_class_closure(m, max_size=max_size)
+            graphs, truncated = closure_by_apply_move(m, max_size)
+            assert list(res.graphs) == list(graphs)
+            assert res.keys == frozenset(graphs)
+            assert res.truncated == truncated
+            assert all(res.graphs[k] == g for k, g in graphs.items())

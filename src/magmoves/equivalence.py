@@ -21,7 +21,15 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .errors import InputError
-from .graph import Mag, MixedGraph, format_path, iter_bits, require_mags, require_path
+from .graph import (
+    Mag,
+    MixedGraph,
+    format_path,
+    iter_bits,
+    require_graph,
+    require_mags,
+    require_path,
+)
 from .separation import separation_signature
 
 __all__ = [
@@ -37,6 +45,7 @@ __all__ = [
 def unshielded_colliders(g: MixedGraph) -> frozenset[tuple[int, int, int]]:
     """Triples ``(a, z, b)`` with ``a < b``, both edges pointing into ``z``,
     and ``a``, ``b`` non-adjacent."""
+    require_graph(g)
     if g._uc is not None:
         return g._uc
     out = set()
@@ -138,6 +147,7 @@ def discriminating_path_exists_for_triple(
     parents of ``y`` links ``z`` to some node with an incoming arrowhead from
     a node non-adjacent to ``y``.
     """
+    require_graph(g)
     g.check_node(z)
     g.check_node(x)
     g.check_node(y)
@@ -152,6 +162,12 @@ def discriminating_path_exists_for_triple(
     # z is internal to any such path, hence a collider and a parent of y.
     if not g.is_spouse(z, x) or not g.is_parent(z, y):
         return False
+    return _discriminating_chain(g, z, x, y)
+
+
+def _discriminating_chain(g: MixedGraph, z: int, x: int, y: int) -> bool:
+    # discriminating_path_exists_for_triple once z <-> x, z -> y and x, y
+    # adjacent are known.
     pa, sp = g._pa, g._sp
     allowed = pa[y] & ~((1 << x) | (1 << y))
     far = ~(g._adj[y] | (1 << y))

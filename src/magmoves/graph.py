@@ -400,8 +400,15 @@ class MixedGraph:
 # -- paths ------------------------------------------------------------------
 
 
+def require_graph(g: object) -> None:
+    """Raise unless ``g`` is a :class:`MixedGraph`."""
+    if not isinstance(g, MixedGraph):
+        raise InputError(f"expected a MixedGraph, got {g!r}")
+
+
 def format_path(g: MixedGraph, path: tuple[int, ...]) -> str:
     """Render a path with its edge marks, e.g. ``X->Z<->Y``."""
+    require_graph(g)
     if not path:
         return ""
     bits = [g.labels[path[0]]]
@@ -422,6 +429,7 @@ def format_path(g: MixedGraph, path: tuple[int, ...]) -> str:
 
 def require_path(g: MixedGraph, path: tuple[int, ...]) -> None:
     """Raise unless ``path`` is a simple path of ``g`` with >= 2 nodes."""
+    require_graph(g)
     if len(path) < 2:
         raise InputError("a path needs at least two nodes")
     if len(set(path)) != len(path):
@@ -437,6 +445,7 @@ def simple_paths_between(
     g: MixedGraph, x: int, y: int
 ) -> Iterator[tuple[int, ...]]:
     """All simple paths from ``x`` to ``y``, in deterministic DFS order."""
+    require_graph(g)
     g.check_node(x)
     g.check_node(y)
     if x == y:
@@ -470,6 +479,7 @@ def simple_paths_between(
 
 def ancestors(g: MixedGraph, x: int) -> frozenset[int]:
     """Nodes with a directed path into ``x``; includes ``x``."""
+    require_graph(g)
     g.check_node(x)
     return frozenset(iter_bits(g.ancestor_mask(x)))
 
@@ -514,6 +524,7 @@ def _ancestral_witness(g: MixedGraph) -> str:
 def is_ancestral(g: MixedGraph) -> bool:
     """No directed cycles, and no directed path between the endpoints of any
     bi-directed edge."""
+    require_graph(g)
     for x in range(g.n):
         # a proper ancestor of x that is also its child closes a cycle; one
         # that is its spouse has a directed path into the bi-directed edge
@@ -537,6 +548,7 @@ def inducing_path_witness(
     g: MixedGraph, x: int, y: int
 ) -> tuple[int, ...] | None:
     """One inducing path from ``x`` to ``y`` as a node tuple, or None."""
+    require_graph(g)
     g.check_node(x)
     g.check_node(y)
     if x == y:
@@ -592,14 +604,44 @@ def _inducing_path(
 def maximality_witness(
     g: MixedGraph,
 ) -> tuple[int, int, tuple[int, ...]] | None:
-    """The first non-adjacent pair joined by an inducing path, with the
-    path, or None."""
-    an = [g.ancestor_mask(v) for v in range(g.n)]
-    adj = g._adj
+    """The first non-adjacent pair ``(x, y)``, ``x < y`` in ascending order,
+    joined by an inducing path, with the path, or None.
+
+    Only pairs that could be joined are searched.  Every internal node of an
+    inducing path is a collider on it, so consecutive internal nodes are
+    spouses and the interior lies in one district (bi-directed component);
+    the first internal node is a child or spouse of ``x`` and the last one
+    has ``y`` as a parent or spouse.  So for each ``x`` the candidates are
+    the ``y`` that are parents or spouses of a node in the spouse-closure of
+    the children and spouses of ``x``: a superset of the pairs that have an
+    inducing path, tried in the same ascending order as the all-pairs scan,
+    which therefore returns the same pair and path.
+    """
+    require_graph(g)
+    adj, pa, ch, sp = g._adj, g._pa, g._ch, g._sp
+    full = (1 << g.n) - 1
     for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if not (adj[x] >> y) & 1:
-                path = _inducing_path(g, x, y, an[x] | an[y])
+        partners = full & ~adj[x] & ~((2 << x) - 1)  # non-adjacent, above x
+        reach = ch[x] | sp[x]
+        if not partners or not reach:
+            continue
+        heads = 0  # parents and spouses of the reached nodes
+        frontier = reach
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                w = low.bit_length() - 1
+                nxt |= sp[w]
+                heads |= pa[w] | sp[w]
+                frontier ^= low
+            frontier = nxt & ~reach
+            reach |= frontier
+        cand = heads & partners
+        if cand:
+            anx = g.ancestor_mask(x)
+            for y in iter_bits(cand):
+                path = _inducing_path(g, x, y, anx | g.ancestor_mask(y))
                 if path is not None:
                     return x, y, path
     return None
@@ -636,8 +678,9 @@ def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
 
 
 def is_mag(g: MixedGraph) -> bool:
-    """Ancestral and maximal."""
-    return mag_violation(g) is None
+    """Ancestral and maximal: ``mag_violation`` is None, without building
+    its text."""
+    return is_ancestral(g) and maximality_witness(g) is None
 
 
 def require_mags(*mags: "Mag") -> None:
@@ -652,6 +695,8 @@ def require_mags(*mags: "Mag") -> None:
 
 
 def canonical_key(g: "MixedGraph | Mag") -> str:
+    if not isinstance(g, (MixedGraph, Mag)):
+        raise InputError(f"expected a MixedGraph or a Mag, got {g!r}")
     return g.canonical_key()
 
 

@@ -53,7 +53,7 @@ def graph_from_json_dict(data: object) -> MixedGraph:
                 "each edge must be an object with fields 'u', 'v', 'type'"
             )
         for end in ("u", "v"):
-            if item[end] not in index:
+            if not isinstance(item[end], str) or item[end] not in index:
                 raise ParseError(
                     f"edge endpoint {item[end]!r} is not a declared node"
                 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from .errors import InputError
-from .graph import MixedGraph, iter_bits, simple_paths_between
+from .graph import MixedGraph, iter_bits, require_graph, simple_paths_between
 
 __all__ = [
     "SeparationQuery",
@@ -51,6 +51,9 @@ class SeparationQuery:
 def _query_masks(
     g: MixedGraph, x: int, y: int, given: Iterable[int]
 ) -> tuple[int, int]:
+    require_graph(g)
+    if not isinstance(given, Iterable):
+        raise InputError(f"conditioning set must be an iterable, got {given!r}")
     g.check_node(x)
     g.check_node(y)
     if x == y:
@@ -135,6 +138,9 @@ def find_connecting_path(
 def m_separated_sets(g: MixedGraph, query: SeparationQuery) -> bool:
     """True iff every source/target pair is m-separated given the query's
     conditioning set.  Empty sides hold vacuously."""
+    require_graph(g)
+    if not isinstance(query, SeparationQuery):
+        raise InputError(f"expected a SeparationQuery, got {query!r}")
     for s in query.sources:
         g.check_node(s)
     for t in query.targets:
@@ -314,6 +320,7 @@ def find_separator(g: MixedGraph, x: int, y: int) -> frozenset[int] | None:
     nodes contains.  That is at most k + |A| breadth-first searches of the
     augmented graph, so O(|A|^3) time.
     """
+    require_graph(g)
     g.check_node(x)
     g.check_node(y)
     if x == y:
@@ -332,6 +339,7 @@ def separation_signature(g: MixedGraph) -> int:
     ``(x, y, Z)`` with ``x < y`` and Z ranging over subsets of the remaining
     nodes in a fixed order.  Two graphs on the same node set are Markov
     equivalent iff their signatures match."""
+    require_graph(g)
     if g._sig is not None:
         return g._sig
     sig = 0

@@ -3,10 +3,15 @@
 Three moves: turn a directed edge bi-directed, turn a bi-directed edge
 directed, and reverse a directed edge.  The first two are licensed by a
 blanket predicate on the edge, the third by an exact parent/spouse match
-between the endpoints.  Applying a licensed move always yields a MAG again;
-``apply_move`` re-validates the result anyway.  The closure walk validates
-each graph it has not reached before exactly once, and skips moves that
-lead back to a graph it already holds without building a ``Mag``.
+between the endpoints.  One search, ``_failure``, decides every predicate
+and returns the first failing clause as a small tuple; ``legal_moves`` and
+the ``is_*`` predicates only test it against None, and only the
+``*_violation`` functions, which ``apply_move`` uses for its rejection
+message, turn it into text.  Applying a licensed move always yields a MAG
+again; ``apply_move`` re-validates the result anyway.  The closure walk
+validates each graph it has not reached before exactly once, and skips
+moves that lead back to a graph it already holds without building a
+``Mag``.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, MoveRejectedError
-from .equivalence import discriminating_path_exists_for_triple
+from .equivalence import _discriminating_chain
 from .graph import (
     _BI,
     _FWD,
     Edge,
     Mag,
+    MixedGraph,
     bidirected,
     directed,
     iter_bits,
@@ -87,79 +93,96 @@ def _require_bidirected(m: Mag, x: int, y: int) -> None:
         )
 
 
-def _blanket_core_violation(m: Mag, x: int, y: int) -> str | None:
-    # Shared clauses: parents of x are parents of y, and every spouse of x
+# The clauses a licensing predicate can fail on; ``z`` names the offending
+# node where the clause has one.
+_CLAUSE_TEXT = {
+    "detour": "a directed path {x} -> ... -> {y} runs through {z}",
+    "parent": "parent {z} of {x} is not a parent of {y}",
+    "discriminating": "a discriminating path for {x} ends ({z}, {x}, {y})",
+    "spouse": "spouse {z} of {x} is neither a spouse nor a parent of {y}",
+    "parents": "parents of {y} differ from parents of {x} plus {x}",
+    "spouses": "spouses of {x} and {y} differ",
+}
+
+
+def _failure(
+    g: MixedGraph, kind: MoveKind, x: int, y: int
+) -> tuple[str, int | None] | None:
+    # The first failing clause of the predicate that licenses ``kind`` on
+    # the edge between x and y, as (clause, z), or None when it holds.  The
+    # caller has checked that the edge is there with the right marks.
+    if kind is MoveKind.REVERSE:
+        # screened: pa(y) = pa(x) + x, and sp(y) = sp(x)
+        if g._pa[y] != g._pa[x] | (1 << x):
+            return "parents", None
+        if g._sp[y] != g._sp[x]:
+            return "spouses", None
+        return None
+    ybit = 1 << y
+    if kind is MoveKind.DIR_TO_BI:
+        # no directed path x -> c -> ... -> y besides the edge itself
+        detour = g._ch[x] & ~ybit & g.ancestor_mask(y)
+        if detour:
+            return "detour", (detour & -detour).bit_length() - 1
+    # Both blankets: parents of x are parents of y, and every spouse of x
     # (other than y) is a spouse of y, or a parent of y admitting no
     # discriminating path for x that ends (z, x, y).
-    g = m.graph
-    lx, ly = m.labels[x], m.labels[y]
     missing = g._pa[x] & ~g._pa[y]
     if missing:
-        z = next(iter_bits(missing))
-        return f"parent {m.labels[z]} of {lx} is not a parent of {ly}"
-    for z in iter_bits(g._sp[x] & ~(1 << y)):
-        if (g._sp[z] >> y) & 1:
-            continue
-        if (g._ch[z] >> y) & 1:
-            if discriminating_path_exists_for_triple(g, z, x, y):
-                return (
-                    f"a discriminating path for {lx} ends "
-                    f"({m.labels[z]}, {lx}, {ly})"
-                )
-            continue
-        return (
-            f"spouse {m.labels[z]} of {lx} is neither a spouse "
-            f"nor a parent of {ly}"
-        )
+        return "parent", (missing & -missing).bit_length() - 1
+    for z in iter_bits(g._sp[x] & ~ybit & ~g._sp[y]):
+        if not (g._ch[z] >> y) & 1:
+            return "spouse", z
+        if _discriminating_chain(g, z, x, y):
+            return "discriminating", z
     return None
+
+
+def _violation(m: Mag, kind: MoveKind, x: int, y: int) -> str | None:
+    bad = _failure(m.graph, kind, x, y)
+    if bad is None:
+        return None
+    clause, z = bad
+    lbl = m.labels
+    return _CLAUSE_TEXT[clause].format(
+        x=lbl[x], y=lbl[y], z=None if z is None else lbl[z]
+    )
 
 
 def blanketed_directed_violation(m: Mag, x: int, y: int) -> str | None:
     """None when the directed edge ``x -> y`` is blanketed, else the first
     failing clause."""
     _require_directed(m, x, y)
-    g = m.graph
-    for c in iter_bits(g._ch[x] & ~(1 << y)):
-        if (g.ancestor_mask(y) >> c) & 1:
-            return (
-                f"a directed path {m.labels[x]} -> ... -> {m.labels[y]} "
-                f"runs through {m.labels[c]}"
-            )
-    return _blanket_core_violation(m, x, y)
+    return _violation(m, MoveKind.DIR_TO_BI, x, y)
 
 
 def blanketed_bidirected_violation(m: Mag, x: int, y: int) -> str | None:
     """None when the bi-directed edge between ``x`` and ``y`` is blanketed
     against ``x``, else the first failing clause."""
     _require_bidirected(m, x, y)
-    return _blanket_core_violation(m, x, y)
+    return _violation(m, MoveKind.BI_TO_DIR, x, y)
 
 
 def is_blanketed_directed(m: Mag, x: int, y: int) -> bool:
-    return blanketed_directed_violation(m, x, y) is None
+    _require_directed(m, x, y)
+    return _failure(m.graph, MoveKind.DIR_TO_BI, x, y) is None
 
 
 def is_blanketed_bidirected_against(m: Mag, x: int, y: int) -> bool:
-    return blanketed_bidirected_violation(m, x, y) is None
+    _require_bidirected(m, x, y)
+    return _failure(m.graph, MoveKind.BI_TO_DIR, x, y) is None
 
 
 def screened_violation(m: Mag, x: int, y: int) -> str | None:
     """None when ``x -> y`` is screened: parents of ``y`` are exactly the
     parents of ``x`` plus ``x``, and spouses coincide."""
     _require_directed(m, x, y)
-    g = m.graph
-    if g._pa[y] != g._pa[x] | (1 << x):
-        return (
-            f"parents of {m.labels[y]} differ from parents of "
-            f"{m.labels[x]} plus {m.labels[x]}"
-        )
-    if g._sp[y] != g._sp[x]:
-        return f"spouses of {m.labels[x]} and {m.labels[y]} differ"
-    return None
+    return _violation(m, MoveKind.REVERSE, x, y)
 
 
 def is_screened(m: Mag, x: int, y: int) -> bool:
-    return screened_violation(m, x, y) is None
+    _require_directed(m, x, y)
+    return _failure(m.graph, MoveKind.REVERSE, x, y) is None
 
 
 def _replacement(move: MoveDescriptor) -> Edge:
@@ -199,19 +222,17 @@ def apply_move(m: Mag, move: MoveDescriptor) -> Mag:
 def legal_moves(m: Mag) -> list[MoveDescriptor]:
     """Every move whose predicate passes, sorted by kind then endpoints."""
     require_mags(m)
+    g = m.graph
     out = []
-    for (i, j), mark in m.graph._pairs.items():
+    for (i, j), mark in g._pairs.items():
         if mark == _BI:
-            if is_blanketed_bidirected_against(m, i, j):
-                out.append(MoveDescriptor(MoveKind.BI_TO_DIR, i, j))
-            if is_blanketed_bidirected_against(m, j, i):
-                out.append(MoveDescriptor(MoveKind.BI_TO_DIR, j, i))
+            tries = ((MoveKind.BI_TO_DIR, i, j), (MoveKind.BI_TO_DIR, j, i))
         else:
             u, v = (i, j) if mark == _FWD else (j, i)
-            if is_blanketed_directed(m, u, v):
-                out.append(MoveDescriptor(MoveKind.DIR_TO_BI, u, v))
-            if is_screened(m, u, v):
-                out.append(MoveDescriptor(MoveKind.REVERSE, u, v))
+            tries = ((MoveKind.DIR_TO_BI, u, v), (MoveKind.REVERSE, u, v))
+        for kind, x, y in tries:
+            if _failure(g, kind, x, y) is None:
+                out.append(MoveDescriptor(kind, x, y))
     kinds = {MoveKind.DIR_TO_BI: 0, MoveKind.BI_TO_DIR: 1, MoveKind.REVERSE: 2}
     out.sort(key=lambda mv: (kinds[mv.kind], mv.x, mv.y))
     return out

@@ -11,13 +11,20 @@ from itertools import combinations
 
 from magmoves import (
     Mag,
+    MoveDescriptor,
+    MoveKind,
     apply_move,
     is_discriminating_path,
     legal_moves,
     m_connected,
     simple_paths_between,
 )
-from magmoves.graph import EdgeKind, MixedGraph, iter_bits
+from magmoves.graph import EdgeKind, MixedGraph, inducing_path_witness, iter_bits
+from magmoves.transform import (
+    blanketed_bidirected_violation,
+    blanketed_directed_violation,
+    screened_violation,
+)
 
 
 def ancestors_dfs(g: MixedGraph, x: int) -> frozenset[int]:
@@ -86,6 +93,37 @@ def inducing_path_exists_naive(g: MixedGraph, x: int, y: int) -> bool:
         if ok:
             return True
     return False
+
+
+def maximality_witness_all_pairs(g: MixedGraph):
+    """Search every non-adjacent pair ``x < y`` in ascending order for an
+    inducing path; the first pair found, with its path, or None."""
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if not g.has_edge(x, y):
+                path = inducing_path_witness(g, x, y)
+                if path is not None:
+                    return x, y, path
+    return None
+
+
+def legal_moves_by_violation(m: Mag) -> list[MoveDescriptor]:
+    """Every move whose ``*_violation`` text is None, sorted by kind then
+    endpoints."""
+    out = []
+    for e in m.edges:
+        u, v = e.u, e.v
+        if e.kind is EdgeKind.BIDIRECTED:
+            for x, y in ((u, v), (v, u)):
+                if blanketed_bidirected_violation(m, x, y) is None:
+                    out.append(MoveDescriptor(MoveKind.BI_TO_DIR, x, y))
+            continue
+        if blanketed_directed_violation(m, u, v) is None:
+            out.append(MoveDescriptor(MoveKind.DIR_TO_BI, u, v))
+        if screened_violation(m, u, v) is None:
+            out.append(MoveDescriptor(MoveKind.REVERSE, u, v))
+    order = [MoveKind.DIR_TO_BI, MoveKind.BI_TO_DIR, MoveKind.REVERSE]
+    return sorted(out, key=lambda mv: (order.index(mv.kind), mv.x, mv.y))
 
 
 def simple_paths_recursive(g: MixedGraph, x: int, y: int):

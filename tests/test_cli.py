@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magmoves import MixedGraph, bidirected, directed, graph_to_json
 from magmoves.cli import main
@@ -362,3 +367,75 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+_NAMES = ("A", "B", "C", "D", "E")
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(_NAMES),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=10,
+)
+_edge_docs = st.fixed_dictionaries(
+    {
+        "u": st.sampled_from(_NAMES) | _json_values,
+        "v": st.sampled_from(_NAMES),
+        "type": st.sampled_from(["directed", "bidirected", "undirected"]),
+    }
+)
+_graph_docs = st.fixed_dictionaries(
+    {
+        "nodes": st.lists(st.sampled_from(_NAMES), max_size=5, unique=True)
+        | st.lists(_json_values, max_size=3),
+        "edges": st.lists(_edge_docs | _json_values, max_size=7),
+    }
+)
+_documents = (
+    st.binary(max_size=120)
+    | _json_values.map(lambda v: json.dumps(v).encode())
+    | _graph_docs.map(lambda v: json.dumps(v).encode())
+)
+_commands = st.sampled_from(
+    [
+        ["validate", "{1}"],
+        ["validate", "{1}", "--format", "json"],
+        ["moves", "{1}", "--format", "json"],
+        ["class", "{1}", "--max", "20"],
+        ["equiv", "{1}", "{2}", "--format", "json"],
+        ["equiv", "{1}", "{2}", "--oracle"],
+        ["separate", "{1}", "--x", "{x}", "--y", "{y}", "--given", "{z}"],
+    ]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    command=_commands,
+    first=_documents,
+    second=_documents,
+    ends=st.lists(st.sampled_from(_NAMES), min_size=3, max_size=3),
+)
+def test_cli_exit_codes_hold_for_any_input(command, first, second, ends):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"g{i}.json") for i in (1, 2)]
+        for path, data in zip(paths, (first, second)):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        x, y, z = ends
+        argv = [
+            {"{1}": paths[0], "{2}": paths[1], "{x}": x, "{y}": y, "{z}": z}.get(a, a)
+            for a in command
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -310,17 +310,20 @@ def _edge_blanketed(m, edge):
 
 
 def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
-    # Deliberately wrong blanket predicates, so counterexamples exist.
-    real_dir = transform.is_blanketed_directed
-    real_bi = transform.is_blanketed_bidirected_against
-    monkeypatch.setattr(
-        transform, "is_blanketed_directed", lambda m, x, y: x < y and real_dir(m, x, y)
-    )
-    monkeypatch.setattr(
-        transform,
-        "is_blanketed_bidirected_against",
-        lambda m, x, y: x > y and real_bi(m, x, y),
-    )
+    # Deliberately wrong blanket predicates, so counterexamples exist: a
+    # directed edge x -> y is blanketed only when x < y, a bi-directed one
+    # against x only when x > y.  Every predicate and legal_moves ask the
+    # module's one search, so it is the one patched.
+    real = transform._failure
+
+    def wrong(g, kind, x, y):
+        if (kind is transform.MoveKind.DIR_TO_BI and x > y) or (
+            kind is transform.MoveKind.BI_TO_DIR and x < y
+        ):
+            return "parent", None
+        return real(g, kind, x, y)
+
+    monkeypatch.setattr(transform, "_failure", wrong)
     want = _literal_counterexamples(4)
     rep = enumeration.test_conjecture1(4)
     assert want

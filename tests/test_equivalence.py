@@ -15,7 +15,6 @@ from magmoves import (
     equivalence_witness,
     format_path,
     is_discriminating_path,
-    is_mag,
     legal_moves,
     markov_equivalent,
     markov_equivalent_bruteforce,
@@ -24,6 +23,7 @@ from magmoves import (
 from magmoves.equivalence import _local_key
 
 from oracles import discriminating_triple_naive, markov_equivalent_paths
+from random_graphs import mark_change_walk, random_dag
 
 
 def test_unshielded_collider_directed(g_collider):
@@ -218,51 +218,16 @@ def test_graphical_test_rejects_differing_local_keys(mags_by_n):
                     assert not markov_equivalent(a, b), (a, b)
 
 
-def _random_dag(rng, n, degree):
-    order = list(range(n))
-    rng.shuffle(order)
-    p = degree / (n - 1)
-    return MixedGraph(
-        n,
-        [
-            directed(order[i], order[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
-        ],
-    )
-
-
-def _mark_change_walk(rng, m, steps):
-    # MAGs reached by changing the mark of one random edge at a time,
-    # keeping each change that leaves a MAG; the skeleton never moves.
-    out = []
-    for _ in range(steps):
-        e = rng.choice(m.edges)
-        new = rng.choice(
-            [
-                f
-                for f in (directed(e.u, e.v), directed(e.v, e.u), bidirected(e.u, e.v))
-                if f != e
-            ]
-        )
-        g = m.graph.with_edge(new)
-        if is_mag(g):
-            m = Mag(g)
-            out.append(m)
-    return out
-
-
 def test_graphical_test_matches_path_oracle_on_random_walks():
     rng = random.Random(20261018)
     pairs = hard = 0
     while pairs < 3000:
         n = rng.randint(5, 9)
-        start = Mag(_random_dag(rng, n, rng.uniform(1.5, 4.5)))
+        start = Mag(random_dag(rng, n, rng.uniform(1.5, 4.5)))
         if not start.edges:
             continue
         prev = start
-        for m in _mark_change_walk(rng, start, 30):
+        for m in mark_change_walk(rng, start, 30):
             for a in {start, prev}:
                 got = markov_equivalent(a, m)
                 assert got == markov_equivalent_paths(a, m), (a, m)
@@ -278,7 +243,7 @@ def test_licensed_move_partners_are_equivalent_at_scale():
     worst = 0.0
     for n in (50, 75, 100):
         for degree in (3, 6):
-            m = Mag(_random_dag(rng, n, degree))
+            m = Mag(random_dag(rng, n, degree))
             partner = m
             for _ in range(40):
                 partner = apply_move(partner, rng.choice(legal_moves(partner)))

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from magmoves import (
@@ -10,15 +13,26 @@ from magmoves import (
     PreconditionError,
     ancestors,
     bidirected,
+    canonical_key,
+    check_lemma1,
     directed,
+    discriminating_path_exists_for_triple,
+    equivalence_class_closure,
+    find_connecting_path,
+    find_separator,
+    format_path,
     graph_from_pair_code,
     inducing_path_exists,
     is_ancestral,
     is_mag,
     is_maximal,
+    m_connected,
+    m_separated_sets,
+    separation_signature,
     simple_paths_between,
+    unshielded_colliders,
 )
-from magmoves.graph import format_path, inducing_path_witness, maximality_witness
+from magmoves.graph import inducing_path_witness, mag_violation, maximality_witness
 
 from oracles import (
     ancestors_dfs,
@@ -26,8 +40,10 @@ from oracles import (
     is_ancestral_naive,
     is_inducing_path,
     is_mag_naive,
+    maximality_witness_all_pairs,
     simple_paths_recursive,
 )
+from random_graphs import random_mag
 
 
 def test_construction_rejects_self_loop():
@@ -72,6 +88,42 @@ def test_construction_rejects_ill_typed_arguments():
     ]:
         with pytest.raises(InputError):
             build()
+
+
+def test_graph_calls_reject_ill_typed_arguments(g_edge):
+    m = Mag(g_edge)
+    for bad in (m, "g", None):
+        for call in (
+            is_ancestral,
+            is_maximal,
+            is_mag,
+            mag_violation,
+            maximality_witness,
+            separation_signature,
+            unshielded_colliders,
+            lambda g: ancestors(g, 0),
+            lambda g: inducing_path_witness(g, 0, 1),
+            lambda g: list(simple_paths_between(g, 0, 1)),
+            lambda g: format_path(g, (0, 1)),
+            lambda g: m_connected(g, 0, 1),
+            lambda g: find_connecting_path(g, 0, 1),
+            lambda g: find_separator(g, 0, 1),
+            lambda g: discriminating_path_exists_for_triple(g, 0, 1, 2),
+        ):
+            with pytest.raises(InputError):
+                call(bad)
+    for call in (
+        lambda: m_connected(g_edge, 0, 1, None),
+        lambda: m_connected(g_edge, 0, 1, 5),
+        lambda: find_connecting_path(g_edge, 0, 1, None),
+        lambda: m_separated_sets(g_edge, None),
+        lambda: m_separated_sets(m, None),
+        lambda: canonical_key("g"),
+        lambda: check_lemma1("m", 0, 1),
+        lambda: check_lemma1(g_edge, 0, 1),
+    ):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_edge_rejects_ill_typed_endpoints():
@@ -237,6 +289,61 @@ def test_validity_matches_literal_oracles_exhaustively():
                 assert ancestors(backwards, n - 1 - x) == ancestors_dfs(
                     g, n - 1 - x
                 ), (n, code, n - 1 - x)
+
+
+def test_maximality_witness_matches_all_pairs_scan_exhaustively():
+    found = 0
+    for n in range(1, 5):
+        for code in range(1 << (n * (n - 1))):
+            g = graph_from_pair_code(n, code)
+            got = maximality_witness(g)
+            assert got == maximality_witness_all_pairs(g), (n, code)
+            found += got is not None
+    assert found == 384  # graphs with an inducing path between non-adjacent nodes
+
+
+def test_maximality_witness_matches_all_pairs_scan_on_sampled_codes():
+    rng = random.Random(606)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(5, 9)
+        absent = rng.choice((0.3, 0.5, 0.7))
+        code = 0
+        for p in range(n * (n - 1) // 2):
+            if rng.random() >= absent:
+                code |= rng.randint(1, 3) << (2 * p)
+        g = graph_from_pair_code(n, code)
+        got = maximality_witness(g)
+        assert got == maximality_witness_all_pairs(g), (n, code)
+        found += got is not None
+    assert found > 500
+
+
+def test_maximality_witness_matches_all_pairs_scan_at_scale():
+    # Random n = 60 mixed graphs, joined at each pair found until no
+    # inducing path is left or 40 pairs are joined; then the members of
+    # random n = 60 MAGs' closures.
+    rng = random.Random(60)
+    found = 0
+    for degree in (2, 3, 4):
+        pairs = rng.sample(list(itertools.combinations(range(60), 2)), 30 * degree)
+        g = MixedGraph(60, [_random_mark(rng, a, b) for a, b in pairs])
+        for _ in range(40):
+            got = maximality_witness(g)
+            assert got == maximality_witness_all_pairs(g)
+            if got is None:
+                break
+            found += 1
+            g = g.with_edge(_random_mark(rng, *got[:2]))
+        m = Mag(random_mag(rng, 60, degree))
+        for member in equivalence_class_closure(m, max_size=25).graphs.values():
+            assert maximality_witness(member.graph) is None
+            assert maximality_witness_all_pairs(member.graph) is None
+    assert found >= 60
+
+
+def _random_mark(rng, a, b):
+    return rng.choice((directed(a, b), directed(b, a), bidirected(a, b)))
 
 
 def test_is_maximal_requires_ancestral():

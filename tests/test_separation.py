@@ -6,7 +6,6 @@ import pytest
 
 from magmoves import (
     InputError,
-    Mag,
     MixedGraph,
     SeparationQuery,
     bidirected,
@@ -17,7 +16,6 @@ from magmoves import (
     m_connected,
     m_separated_sets,
 )
-from magmoves.graph import maximality_witness
 from magmoves.separation import _first_min_cut
 
 from oracles import (
@@ -26,6 +24,7 @@ from oracles import (
     first_vertex_cut_bruteforce,
     m_connected_naive,
 )
+from random_graphs import random_mag
 
 
 def test_collider_blocks_marginally(g_collider):
@@ -268,39 +267,13 @@ def test_find_separator_on_wide_mediator_graphs():
     assert worst < 2.0  # about 9 ms at k = 40 on a 2-CPU machine
 
 
-def _random_mag(rng, n, degree):
-    # A random DAG, some edges made bi-directed where neither endpoint is an
-    # ancestor of the other, then made maximal by joining every pair an
-    # inducing path links (Richardson & Spirtes 2002, Thm 5.1).
-    order = list(range(n))
-    rng.shuffle(order)
-    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
-    chosen = rng.sample(pairs, int(degree * n / 2))
-    dag = MixedGraph(n, [directed(a, b) for a, b in chosen])
-    edges = []
-    for a, b in chosen:
-        linked = (dag.ancestor_mask(b) >> a) & 1
-        bi = rng.random() < 0.3 and not linked
-        edges.append(bidirected(a, b) if bi else directed(a, b))
-    g = MixedGraph(n, edges)
-    while (gap := maximality_witness(g)) is not None:
-        a, b, _ = gap
-        if (g.ancestor_mask(b) >> a) & 1:
-            g = g.with_edge(directed(a, b))
-        elif (g.ancestor_mask(a) >> b) & 1:
-            g = g.with_edge(directed(b, a))
-        else:
-            g = g.with_edge(bidirected(a, b))
-    return Mag(g).graph
-
-
 def test_find_separator_is_minimal_on_random_mags_at_scale():
     rng = random.Random(11)
     worst = 0.0
     sizes = []
     for n in (50, 100, 200):
         for degree in (3, 6):
-            g = _random_mag(rng, n, degree)
+            g = random_mag(rng, n, degree)
             pairs = list(_nonadjacent_ordered_pairs(g))
             rng.shuffle(pairs)
             # pairs that need a non-empty separator

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from magmoves import (
@@ -26,7 +28,8 @@ from magmoves.transform import (
     screened_violation,
 )
 
-from oracles import closure_by_apply_move
+from oracles import closure_by_apply_move, legal_moves_by_violation
+from random_graphs import mark_change_walk, random_dag
 
 
 def test_blanketed_vacuous(g_edge):
@@ -146,6 +149,33 @@ def test_legal_moves_collider(g_collider):
     ]
     for mv in moves:
         assert markov_equivalent_bruteforce(m, apply_move(m, mv))
+
+
+def test_legal_moves_match_violation_texts_exhaustively(mags_by_n):
+    mags = [m for n in (1, 2, 3, 4) for m in mags_by_n[n]]
+    assert len(mags) == 2553
+    kinds = set()
+    for m in mags:
+        moves = legal_moves(m)
+        assert moves == legal_moves_by_violation(m), m
+        kinds.update(mv.kind for mv in moves)
+    assert kinds == set(MoveKind)
+
+
+def test_legal_moves_match_violation_texts_on_random_walks():
+    rng = random.Random(66)
+    checked = moves = 0
+    while checked < 1500:
+        n = rng.randint(5, 9)
+        start = Mag(random_dag(rng, n, rng.uniform(1.5, 4.5)))
+        if not start.edges:
+            continue
+        for m in [start, *mark_change_walk(rng, start, 20)]:
+            got = legal_moves(m)
+            assert got == legal_moves_by_violation(m), m
+            checked += 1
+            moves += len(got)
+    assert moves > checked
 
 
 def test_delta_single_mark(g_edge):

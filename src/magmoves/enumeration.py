@@ -28,7 +28,11 @@ from .graph import (
     iter_bits,
     require_mags,
 )
-from .equivalence import _local_key, markov_equivalent, markov_equivalent_bruteforce
+from .equivalence import (
+    _discriminating_witness,
+    _local_key,
+    markov_equivalent_bruteforce,
+)
 from .separation import separation_signature
 from .transform import (
     MoveKind,
@@ -145,7 +149,7 @@ def _canonical_order(n: int, codes: np.ndarray) -> np.ndarray:
 def enumerate_mags(n: int) -> Iterator[Mag]:
     """All MAGs on ``n`` unlabeled nodes, streamed in canonical-key order.
 
-    Each emitted graph is checked again with :func:`is_mag`, independent of
+    Each emitted graph is checked again by :class:`Mag`, independent of
     the kernel that produced its code; one that fails raises
     :class:`NotAMagError` naming the witness.
     """
@@ -155,8 +159,7 @@ def enumerate_mags(n: int) -> Iterator[Mag]:
         )
     codes = _kernels.enumerate_mag_codes(n)
     for code in codes[_canonical_order(n, codes)].tolist():
-        g = graph_from_pair_code(n, code)
-        yield Mag._trusted(g) if is_mag(g) else Mag(g)
+        yield Mag(graph_from_pair_code(n, code))
 
 
 @dataclass(frozen=True)
@@ -202,25 +205,28 @@ def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
     return ClassPartition(class_of, classes, by_key)
 
 
-def _collider_entry_paths(
-    g: MixedGraph, x: int, avoid: int
-) -> Iterator[tuple[int, ...]]:
-    # Node sequences (a_1, ..., a_k) such that (a_1, ..., a_k, x) is a path
-    # whose internal nodes are all colliders on it: a_k <-> x, consecutive
-    # chain links bi-directed, and a_1 either the chain end or a node with
-    # an arrowhead into a_2.  Nodes in `avoid` never appear.
-    banned = avoid | (1 << x)
-
-    def grow(chain: tuple[int, ...], visited: int) -> Iterator[tuple[int, ...]]:
-        head = chain[0]
-        yield chain
-        for w in iter_bits(g._pa[head] & ~visited):
-            yield (w,) + chain
-        for s in iter_bits(g._sp[head] & ~visited):
-            yield from grow((s,) + chain, visited | (1 << s))
-
-    for a in iter_bits(g._sp[x] & ~banned):
-        yield from grow((a,), banned | (1 << a))
+def _lemma1_holds(g: MixedGraph, x: int, y: int) -> bool:
+    # Lemma 1 for the edge between x and y, over the node sequences
+    # (a_1, ..., a_k) such that (a_1, ..., a_k, x) is a path whose internal
+    # nodes are all colliders on it: a_k <-> x, consecutive chain links
+    # bi-directed, and a_1 either the chain end or a parent of a_2.  A
+    # sequence that breaks the lemma holds no spouse of y, so it runs
+    # inside S, the nodes other than x and y that are not spouses of y.
+    # The chain nodes are then the nodes reached from sp(x) ∩ S along
+    # spouse edges inside S, and a_1 may also be a parent in S of one of
+    # them; the lemma fails iff one of these nodes is not a parent of y.
+    inside = ~(g._sp[y] | (1 << x) | (1 << y))
+    chain = frontier = g._sp[x] & inside
+    while frontier:
+        step = 0
+        for a in iter_bits(frontier):
+            step |= g._sp[a]
+        frontier = step & inside & ~chain
+        chain |= frontier
+    entered = chain
+    for a in iter_bits(chain):
+        entered |= g._pa[a] & inside
+    return not entered & ~g._pa[y]
 
 
 def check_lemma1(m: Mag, x: int, y: int) -> bool:
@@ -238,15 +244,7 @@ def check_lemma1(m: Mag, x: int, y: int) -> bool:
         raise InputError("x and y must be joined by a directed or bi-directed edge")
     if reason is not None:
         raise InputError(f"edge is not blanketed: {reason}")
-    sp_y = g._sp[y]
-    pa_y = g._pa[y]
-    for seq in _collider_entry_paths(g, x, 1 << y):
-        if any((sp_y >> a) & 1 for a in seq):
-            continue
-        if all((pa_y >> a) & 1 for a in seq):
-            continue
-        return False
-    return True
+    return _lemma1_holds(g, x, y)
 
 
 @dataclass(frozen=True)
@@ -374,24 +372,28 @@ def _mag_or_none(g: MixedGraph) -> Mag | None:
     return Mag._trusted(g) if is_mag(g) else None
 
 
-def _oracle_violations(mags: list[Mag], signatures: list[int]) -> list[str]:
-    # Where markov_equivalent disagrees with signature equality, over every
-    # ordered pair, in pair order.  markov_equivalent is False across local
-    # keys, so the graphical test runs only inside each key's bucket; across
-    # buckets, exactly the pairs with equal signatures disagree.
+def _oracle_violations(part: ClassPartition) -> list[str]:
+    # Where the graphical test disagrees with the signature classes, over
+    # every ordered pair, in pair order.  The test is False across local
+    # keys, so it runs only inside each key's bucket, where the keys are
+    # already equal; across buckets, exactly the pairs in one class
+    # disagree.
+    keys = list(part.graphs_by_key)
+    graphs = [m.graph for m in part.graphs_by_key.values()]
+    class_id = [part.class_of[k] for k in keys]
     buckets: dict = {}
     classes: dict[int, list[int]] = {}
-    for i, m in enumerate(mags):
-        buckets.setdefault(_local_key(m.graph), []).append(i)
-        classes.setdefault(signatures[i], []).append(i)
-    bucket_of = [0] * len(mags)
+    for i, g in enumerate(graphs):
+        buckets.setdefault(_local_key(g), []).append(i)
+        classes.setdefault(class_id[i], []).append(i)
+    bucket_of = [0] * len(keys)
     found = []
     for b, members in enumerate(buckets.values()):
         for i in members:
             bucket_of[i] = b
             for j in members:
-                graphical = markov_equivalent(mags[i], mags[j])
-                brute = signatures[i] == signatures[j]
+                graphical = _discriminating_witness(graphs[i], graphs[j]) is None
+                brute = class_id[i] == class_id[j]
                 if graphical != brute:
                     found.append((i, j, graphical, brute))
     for members in classes.values():
@@ -404,8 +406,7 @@ def _oracle_violations(mags: list[Mag], signatures: list[int]) -> list[str]:
             )
     found.sort()
     return [
-        f"{mags[i].canonical_key()} vs {mags[j].canonical_key()}: "
-        f"graphical={graphical} brute={brute}"
+        f"{keys[i]} vs {keys[j]}: graphical={graphical} brute={brute}"
         for i, j, graphical, brute in found
     ]
 
@@ -419,10 +420,8 @@ def verify_theorems(n: int) -> EquivalenceReport:
     agreement of the graphical equivalence test with the brute-force oracle
     on every ordered pair.
     """
-    mags = list(enumerate_mags(n))
-    signatures = [separation_signature(m.graph) for m in mags]
-    class_count = len(set(signatures))
-    known = {m.canonical_key(): m for m in mags}
+    part = partition_into_classes(enumerate_mags(n))
+    known = part.graphs_by_key
 
     def equivalent(m: Mag, m2: Mag) -> bool:
         # The oracle on m2's copy in the enumeration, whose signature is
@@ -432,8 +431,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
     names = ("thm3_sound", "thm3_necessary", "thm4_iff", "lemma1", "lemma2")
     cases = dict.fromkeys(names, 0)
     viol: dict[str, list[str]] = {name: [] for name in names}
-    for m in mags:
-        key = m.canonical_key()
+    for key, m in known.items():
         blanketed = set()  # (x, y): the edge is blanketed (against x)
         screened = set()
         flipped = {}  # (u, v) -> the MAG with u -> v made bi-directed
@@ -461,7 +459,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
                 if (x, y) not in blanketed:
                     continue
                 cases["lemma1"] += 1
-                if not check_lemma1(m, x, y):
+                if not _lemma1_holds(m.graph, x, y):
                     viol["lemma1"].append(
                         f"{key}: collider entry paths into {x} "
                         f"escape the blanket of {y}"
@@ -502,10 +500,10 @@ def verify_theorems(n: int) -> EquivalenceReport:
                         f"{key}: {e.token()} screened but not blanketed"
                     )
 
-    cases["thm2_vs_oracle"] = len(mags) ** 2
-    viol["thm2_vs_oracle"] = _oracle_violations(mags, signatures)
+    cases["thm2_vs_oracle"] = len(known) ** 2
+    viol["thm2_vs_oracle"] = _oracle_violations(part)
 
     checks = {k: CheckOutcome(cases[k], tuple(viol[k])) for k in cases}
     return EquivalenceReport(
-        n=n, mag_count=len(mags), class_count=class_count, checks=checks
+        n=n, mag_count=len(known), class_count=part.class_count, checks=checks
     )

@@ -95,8 +95,7 @@ def is_discriminating_path(g: MixedGraph, path: tuple[int, ...], z: int) -> bool
     ``path`` must be a valid path; ``z`` must be its second-to-last node in
     one of the two traversal directions, else the answer is False.
     """
-    path = tuple(path)
-    require_path(g, path)
+    path = require_path(g, path)
     g.check_node(z)
     if len(path) < 4:
         return False

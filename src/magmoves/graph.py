@@ -406,9 +406,20 @@ def require_graph(g: object) -> None:
         raise InputError(f"expected a MixedGraph, got {g!r}")
 
 
+def _path_nodes(g: MixedGraph, path: Iterable[int]) -> tuple[int, ...]:
+    # ``path`` as a tuple, once it is known to hold only nodes of ``g``.
+    require_graph(g)
+    if not isinstance(path, Iterable):
+        raise InputError(f"expected a sequence of nodes, got {path!r}")
+    path = tuple(path)
+    for x in path:
+        g.check_node(x)
+    return path
+
+
 def format_path(g: MixedGraph, path: tuple[int, ...]) -> str:
     """Render a path with its edge marks, e.g. ``X->Z<->Y``."""
-    require_graph(g)
+    path = _path_nodes(g, path)
     if not path:
         return ""
     bits = [g.labels[path[0]]]
@@ -427,18 +438,18 @@ def format_path(g: MixedGraph, path: tuple[int, ...]) -> str:
     return "".join(bits)
 
 
-def require_path(g: MixedGraph, path: tuple[int, ...]) -> None:
-    """Raise unless ``path`` is a simple path of ``g`` with >= 2 nodes."""
-    require_graph(g)
+def require_path(g: MixedGraph, path: Iterable[int]) -> tuple[int, ...]:
+    """``path`` as a tuple; raises unless it is a simple path of ``g`` with
+    >= 2 nodes."""
+    path = _path_nodes(g, path)
     if len(path) < 2:
         raise InputError("a path needs at least two nodes")
     if len(set(path)) != len(path):
         raise InputError("path nodes must be distinct")
-    for x in path:
-        g.check_node(x)
     for a, b in zip(path, path[1:]):
         if not g.has_edge(a, b):
             raise InputError(f"nodes {a} and {b} are not adjacent")
+    return path
 
 
 def simple_paths_between(

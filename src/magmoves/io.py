@@ -15,8 +15,8 @@ import json
 import re
 import sys
 
-from .errors import ParseError
-from .graph import Edge, EdgeKind, MixedGraph, bidirected, directed
+from .errors import InputError, ParseError
+from .graph import Edge, EdgeKind, MixedGraph, bidirected, directed, require_graph
 
 __all__ = [
     "graph_from_json_dict",
@@ -78,6 +78,8 @@ def graph_from_json_dict(data: object) -> MixedGraph:
 
 
 def parse_graph_json(text: str) -> MixedGraph:
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise InputError(f"expected JSON text, got {text!r}")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -88,6 +90,7 @@ def parse_graph_json(text: str) -> MixedGraph:
 
 
 def graph_to_json_dict(g: MixedGraph) -> dict:
+    require_graph(g)
     return {
         "nodes": list(g.labels),
         "edges": [
@@ -110,6 +113,7 @@ def _dot_quote(label: str) -> str:
 
 
 def graph_to_dot(g: MixedGraph) -> str:
+    require_graph(g)
     lines = ["digraph {"]
     for label in g.labels:
         lines.append(f"  {_dot_quote(label)};")
@@ -143,6 +147,8 @@ def _dot_unquote(match: re.Match, slot: int) -> str:
 
 def parse_dot(text: str) -> MixedGraph:
     """Read the DOT subset produced by :func:`graph_to_dot`."""
+    if not isinstance(text, str):
+        raise InputError(f"expected DOT text, got {text!r}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("digraph"):
         raise ParseError("expected a digraph block")
@@ -166,15 +172,13 @@ def parse_dot(text: str) -> MixedGraph:
         raise ParseError("duplicate node statement")
     index = {label: i for i, label in enumerate(labels)}
     edges = []
-    for u, v, both in edge_specs:
-        if u not in index or v not in index:
-            raise ParseError(f"edge references undeclared node {u!r} or {v!r}")
-        edges.append(
-            bidirected(index[u], index[v]) if both else directed(index[u], index[v])
-        )
     try:
+        for u, v, both in edge_specs:
+            if u not in index or v not in index:
+                raise ParseError(f"edge references undeclared node {u!r} or {v!r}")
+            edges.append((bidirected if both else directed)(index[u], index[v]))
         return MixedGraph(len(labels), edges, labels=labels)
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(str(exc)) from None
 
 

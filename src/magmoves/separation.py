@@ -39,34 +39,46 @@ class SeparationQuery:
     conditioning: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", frozenset(self.sources))
-        object.__setattr__(self, "targets", frozenset(self.targets))
-        object.__setattr__(self, "conditioning", frozenset(self.conditioning))
+        for name in ("sources", "targets", "conditioning"):
+            nodes = getattr(self, name)
+            if isinstance(nodes, Iterable):
+                nodes = tuple(nodes)
+            if not isinstance(nodes, tuple) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in nodes
+            ):
+                raise InputError(f"{name} must be a set of nodes, got {nodes!r}")
+            object.__setattr__(self, name, frozenset(nodes))
         if self.sources & self.targets:
             raise InputError("sources and targets overlap")
         if self.conditioning & (self.sources | self.targets):
             raise InputError("conditioning set overlaps sources or targets")
 
 
-def _query_masks(
-    g: MixedGraph, x: int, y: int, given: Iterable[int]
-) -> tuple[int, int]:
-    require_graph(g)
+def _given_masks(g: MixedGraph, given: Iterable[int]) -> tuple[int, int]:
+    # The conditioning set and its ancestors, as masks.
     if not isinstance(given, Iterable):
         raise InputError(f"conditioning set must be an iterable, got {given!r}")
-    g.check_node(x)
-    g.check_node(y)
-    if x == y:
-        raise InputError("query endpoints must differ")
     zmask = 0
     for z in given:
         g.check_node(z)
         zmask |= 1 << z
-    if (zmask >> x) & 1 or (zmask >> y) & 1:
-        raise InputError("conditioning set may not contain an endpoint")
     anz = 0
     for z in iter_bits(zmask):
         anz |= g.ancestor_mask(z)
+    return zmask, anz
+
+
+def _query_masks(
+    g: MixedGraph, x: int, y: int, given: Iterable[int]
+) -> tuple[int, int]:
+    require_graph(g)
+    g.check_node(x)
+    g.check_node(y)
+    if x == y:
+        raise InputError("query endpoints must differ")
+    zmask, anz = _given_masks(g, given)
+    if (zmask >> x) & 1 or (zmask >> y) & 1:
+        raise InputError("conditioning set may not contain an endpoint")
     return zmask, anz
 
 
@@ -141,17 +153,9 @@ def m_separated_sets(g: MixedGraph, query: SeparationQuery) -> bool:
     require_graph(g)
     if not isinstance(query, SeparationQuery):
         raise InputError(f"expected a SeparationQuery, got {query!r}")
-    for s in query.sources:
-        g.check_node(s)
-    for t in query.targets:
-        g.check_node(t)
-    zmask = 0
-    for z in query.conditioning:
-        g.check_node(z)
-        zmask |= 1 << z
-    anz = 0
-    for z in iter_bits(zmask):
-        anz |= g.ancestor_mask(z)
+    for v in query.sources | query.targets:
+        g.check_node(v)
+    zmask, anz = _given_masks(g, query.conditioning)
     for s in query.sources:
         for t in query.targets:
             if _m_connected_masks(g, s, t, zmask, anz):
@@ -192,112 +196,84 @@ def _first_min_cut(rows: list[int], x: int, y: int, inner: int) -> list[int]:
     # arc v_in -> v_out of capacity 1 for each inner node (unbounded for x
     # and y), and unbounded arcs u_out -> w_in and w_out -> u_in for each
     # edge {u, w}.  An inner node passes at most one unit, so every arc
-    # carries 0 or 1 and bitmasks hold the whole flow.
+    # carries 0 or 1 and bitmasks hold the whole flow.  Residual arcs run
+    # from in-states to out-states and back, so a state set is two masks.
     thr = 0  # inner nodes v whose arc v_in -> v_out carries flow
     into = [0] * len(rows)  # into[w]: the u whose arc u_out -> w_in does
-    out = [0] * len(rows)  # out[u]: the w whose arc u_out -> w_in does
+    barred = ~(inner | (1 << y))  # in-states no search enters
 
-    def set_arc(u: int, w: int, on: bool) -> None:
-        if on:
-            into[w] |= 1 << u
-            out[u] |= 1 << w
-        else:
-            into[w] &= ~(1 << u)
-            out[u] &= ~(1 << w)
-
-    def augment(alive: int) -> bool:
-        # Push one unit along a breadth-first augmenting path from x_out to
-        # y_in through the nodes in ``alive``; False when there is none.
-        nonlocal thr
-        via_in = {}  # w -> (u, True): reached w_in along u_out -> w_in
-        via_out = {x: None}  # u -> (w, True): along w_in -> u_out, undoing flow
-        seen_in, seen_out = ~(alive | (1 << y)), 1 << x
-        queue = deque([(x, False)])
-        while y not in via_in:
-            if not queue:
-                return False
-            v, at_in = queue.popleft()
-            if at_in:
-                if not (seen_out >> v) & 1 and not (thr >> v) & 1:
-                    seen_out |= 1 << v
-                    via_out[v] = (v, False)  # along v_in -> v_out
-                    queue.append((v, False))
-                for u in iter_bits(into[v] & ~seen_out):
-                    seen_out |= 1 << u
-                    via_out[u] = (v, True)
-                    queue.append((u, False))
-            else:
-                for w in iter_bits(rows[v] & ~seen_in):
-                    seen_in |= 1 << w
-                    via_in[w] = (v, True)
-                    queue.append((w, True))
-                if (thr >> v) & 1 and not (seen_in >> v) & 1:
-                    seen_in |= 1 << v
-                    via_in[v] = (v, False)  # back along v_in -> v_out
-                    queue.append((v, True))
-        v, at_in = y, True
+    def search(seen_in, seen_out, new_in, new_out, stop_out=0, via=None):
+        # Close the seen states under residual arcs, breadth-first from the
+        # new ones, and return the two masks; None as soon as they hold
+        # y_in or an out-state in ``stop_out``.  ``via``, when given, maps
+        # each in-state (v, True) and out-state (v, False) reached to the
+        # node whose state of the other kind it was reached from.
         while True:
-            if at_in:
-                u, step = via_in[v]
-                if step:
-                    set_arc(u, v, True)
-                else:
-                    thr &= ~(1 << v)
-                v = u
-            else:
-                prev = via_out[v]
-                if prev is None:
-                    return True
-                w, step = prev
-                if step:
-                    set_arc(v, w, False)
-                else:
-                    thr |= 1 << v
-                v = w
-            at_in = not at_in
+            seen_in |= new_in
+            seen_out |= new_out
+            if (seen_in >> y) & 1 or seen_out & stop_out:
+                return None
+            if not (new_in or new_out):
+                return seen_in, seen_out
+            grow_in = grow_out = 0
+            for v in iter_bits(new_in):
+                # v_in -> v_out while v passes no flow, and v_in -> u_out
+                # against the flow on u_out -> v_in
+                step = (into[v] | (1 << v & ~thr)) & ~(seen_out | grow_out)
+                grow_out |= step
+                if via is not None:
+                    for u in iter_bits(step):
+                        via[u, False] = v
+            for u in iter_bits(new_out):
+                # u_out -> w_in along each edge, and u_out -> u_in against
+                # the flow through u
+                step = (rows[u] | (thr & 1 << u)) & ~(seen_in | grow_in)
+                grow_in |= step
+                if via is not None:
+                    for w in iter_bits(step):
+                        via[w, True] = u
+            new_in, new_out = grow_in, grow_out
 
-    def cancel(v: int) -> bool:
-        # Withdraw the unit through v: back along the flow to x, then on to
-        # y.  An augmenting path that runs backward over two flow nodes in
-        # a row takes the edge between them forward, which can leave a unit
-        # running round a cycle; that unit is removed instead, and False
-        # says the x-y flow has not changed.
-        nonlocal thr
-        thr &= ~(1 << v)
-        w = v
-        while True:
-            u = into[w].bit_length() - 1
-            set_arc(u, w, False)
-            if u == v:
-                return False
-            if u == x:
-                break
-            thr &= ~(1 << u)
-            w = u
-        u = v
-        while True:
-            w = out[u].bit_length() - 1
-            set_arc(u, w, False)
-            if w == y:
-                return True
-            thr &= ~(1 << w)
-            u = w
-
-    alive = inner
     size = 0
-    while augment(alive):
+    while True:
+        via = {}
+        reach = search(barred, 0, 0, 1 << x, via=via)
+        if reach is not None:
+            break
+        # Push one unit along the path, back from y_in to x_out.  An arc
+        # either way between v_in and v_out flips bit v of thr, and one
+        # between u_out and w_in flips bit u of into[w].
         size += 1
-    # Greedy in ascending order: keep v when some minimum cut of what is
-    # left contains it, that is, when the flow cannot route round it.  A
-    # node that carries no x-y flow (none, or only a cycle) lies in no
-    # minimum cut, and a node passed over here lies in no later one either.
+        v, at_in = y, True
+        while v != x or at_in:
+            u = via[v, at_in]
+            w, o = (v, u) if at_in else (u, v)  # nodes of the in-, out-state
+            if w == o:
+                thr ^= 1 << w
+            else:
+                into[w] ^= 1 << o
+            v, at_in = u, not at_in
+    # ``reach`` is now the residual closure of x_out.  By Picard and
+    # Queyranne (1980) the minimum cuts are exactly the state sets that
+    # hold x_out but not y_in and are closed under residual arcs; a cut's
+    # nodes have their in-state inside and their out-state outside.  So the
+    # greedy, in ascending order over the nodes that carry flow (no other
+    # node is in a minimum cut), keeps v when closing ``reach`` and v_in
+    # leaves out v_out and the out-states of the nodes kept.  It then
+    # leaves out y_in as well: no flow leaves a closed set that holds both
+    # x_out and y_in, and a unit leaves v_in for v_out, so reaching y_in
+    # only ends the search early.  A node passed over here is passed over
+    # for every larger ``reach``.
     cut = []
-    for v in iter_bits(inner):
+    stop = 0  # out-states of the nodes kept
+    for v in iter_bits(thr):
         if len(cut) == size:
             break
-        if (thr >> v) & 1 and cancel(v) and not augment(alive & ~(1 << v)):
+        grown = search(*reach, 1 << v, 0, stop | 1 << v)
+        if grown is not None:
             cut.append(v)
-            alive &= ~(1 << v)
+            stop |= 1 << v
+            reach = grown
     return cut
 
 
@@ -315,10 +291,14 @@ def find_separator(g: MixedGraph, x: int, y: int) -> frozenset[int] | None:
     together with its parents in A.  Z ∩ A separates whenever Z does, so
     every smallest separator lies in A and is a minimum vertex cut there;
     when x and y are adjacent in the augmented graph no set separates
-    them.  One max-flow finds the cut size k, and a greedy pass over A in
-    ascending order keeps each node that some k-cut completing the chosen
-    nodes contains.  That is at most k + |A| breadth-first searches of the
-    augmented graph, so O(|A|^3) time.
+    them.  One max-flow finds the cut size k, and its residual graph holds
+    every minimum cut (Picard and Queyranne, 1980).  The flow runs on the
+    graph with each node split into an in-state and an out-state.  A
+    greedy pass over the nodes that carry flow, in ascending order, keeps
+    a node v when the residual closure of x's out-state and the in-states
+    of v and the kept nodes reaches neither y's in-state nor the out-state
+    of v or of a kept node.  That is at most k + |A| breadth-first
+    searches of the augmented graph, so O(|A|^3) time.
     """
     require_graph(g)
     g.check_node(x)

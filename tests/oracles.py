@@ -159,6 +159,38 @@ def discriminating_triple_naive(g: MixedGraph, z: int, x: int, y: int) -> bool:
     return extend((z,), (1 << z) | banned)
 
 
+def _collider_entry_paths(g: MixedGraph, x: int, avoid: int):
+    # Node sequences (a_1, ..., a_k) such that (a_1, ..., a_k, x) is a path
+    # whose internal nodes are all colliders on it: a_k <-> x, consecutive
+    # chain links bi-directed, and a_1 either the chain end or a node with
+    # an arrowhead into a_2.  Nodes in `avoid` never appear.
+    banned = avoid | (1 << x)
+
+    def grow(chain: tuple[int, ...], visited: int):
+        head = chain[0]
+        yield chain
+        for w in iter_bits(g._pa[head] & ~visited):
+            yield (w,) + chain
+        for s in iter_bits(g._sp[head] & ~visited):
+            yield from grow((s,) + chain, visited | (1 << s))
+
+    for a in iter_bits(g._sp[x] & ~banned):
+        yield from grow((a,), banned | (1 << a))
+
+
+def lemma1_by_paths(g: MixedGraph, x: int, y: int) -> bool:
+    """Lemma 1 for the edge between x and y, path by path: every collider
+    entry path into ``x`` that avoids ``y`` holds a spouse of ``y`` or
+    consists of parents of ``y``."""
+    for seq in _collider_entry_paths(g, x, 1 << y):
+        if any(g.is_spouse(a, y) for a in seq):
+            continue
+        if all(g.is_parent(a, y) for a in seq):
+            continue
+        return False
+    return True
+
+
 def conditioning_sets(n: int, x: int, y: int):
     """Every subset of the nodes other than x and y."""
     rest = [v for v in range(n) if v != x and v != y]

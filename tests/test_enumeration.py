@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,14 @@ from magmoves import (
     graph_from_pair_code,
     is_ancestral,
     is_mag,
+    markov_equivalent,
     partition_into_classes,
     unshielded_colliders,
 )
 from magmoves import _kernels, enumeration, transform
 from magmoves.equivalence import _local_key
+
+from oracles import lemma1_by_paths
 
 
 def test_code_round_trip():
@@ -188,6 +193,40 @@ def test_check_lemma1_nontrivial_family():
     assert enumeration.check_lemma1(m, 2, 3)
 
 
+def _adjacent_ordered_pairs(g):
+    for e in g.edges:
+        yield e.u, e.v
+        yield e.v, e.u
+
+
+def test_lemma1_core_matches_path_oracle_exhaustively():
+    # every ordered adjacent pair of every mixed graph with n <= 4,
+    # blanketed or not, ancestral or not
+    pairs = failing = 0
+    for n in range(2, 5):
+        for code in range(4 ** (n * (n - 1) // 2)):
+            g = graph_from_pair_code(n, code)
+            for x, y in _adjacent_ordered_pairs(g):
+                want = lemma1_by_paths(g, x, y)
+                assert enumeration._lemma1_holds(g, x, y) == want, (g, x, y)
+                pairs += 1
+                failing += not want
+    assert (pairs, failing) == (37158, 9540)
+
+
+def test_lemma1_core_matches_path_oracle_on_sampled_codes():
+    rng = random.Random(20261019)
+    failing = 0
+    for n in (5, 6, 7):
+        for _ in range(400):
+            g = graph_from_pair_code(n, rng.randrange(4 ** (n * (n - 1) // 2)))
+            for x, y in _adjacent_ordered_pairs(g):
+                want = lemma1_by_paths(g, x, y)
+                assert enumeration._lemma1_holds(g, x, y) == want, (g, x, y)
+                failing += not want
+    assert failing
+
+
 def test_verify_theorems_small():
     rep = enumeration.verify_theorems(2)
     assert rep.mag_count == 4
@@ -271,9 +310,18 @@ def _spouse_count(m):
 def test_bucketed_oracle_check_matches_full_pair_loop(
     monkeypatch, mags_by_n, equivalent, signature
 ):
-    equivalent = equivalent or enumeration.markov_equivalent
+    if equivalent is None:
+        equivalent = markov_equivalent
+    else:
+        # inside a bucket the loop asks the discriminating-path search alone
+        monkeypatch.setattr(
+            enumeration,
+            "_discriminating_witness",
+            lambda g1, g2: None
+            if equivalent(Mag._trusted(g1), Mag._trusted(g2))
+            else "not equivalent",
+        )
     signature = signature or enumeration.separation_signature
-    monkeypatch.setattr(enumeration, "markov_equivalent", equivalent)
     monkeypatch.setattr(enumeration, "separation_signature", signature)
     want = _full_pair_loop(mags_by_n[3], equivalent, signature)
     got = enumeration.verify_theorems(3).checks["thm2_vs_oracle"]

@@ -11,6 +11,7 @@ from magmoves import (
     MixedGraph,
     NotAMagError,
     PreconditionError,
+    SeparationQuery,
     ancestors,
     bidirected,
     canonical_key,
@@ -22,12 +23,18 @@ from magmoves import (
     find_separator,
     format_path,
     graph_from_pair_code,
+    graph_to_dot,
+    graph_to_json,
+    graph_to_json_dict,
     inducing_path_exists,
     is_ancestral,
+    is_discriminating_path,
     is_mag,
     is_maximal,
     m_connected,
     m_separated_sets,
+    parse_dot,
+    parse_graph_json,
     separation_signature,
     simple_paths_between,
     unshielded_colliders,
@@ -124,6 +131,43 @@ def test_graph_calls_reject_ill_typed_arguments(g_edge):
     ):
         with pytest.raises(InputError):
             call()
+
+
+_EDGE = MixedGraph(2, [directed(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SeparationQuery(1, 2),
+        lambda: SeparationQuery([[]], [1]),
+        lambda: format_path(_EDGE, 5),
+        lambda: format_path(_EDGE, ("x",)),
+        lambda: format_path(_EDGE, (7,)),
+        lambda: is_discriminating_path(_EDGE, 5, 0),
+        lambda: graph_to_json_dict("x"),
+        lambda: graph_to_dot("x"),
+        lambda: graph_to_json(3),
+        lambda: parse_graph_json(5),
+        lambda: parse_dot(5),
+    ],
+    ids=[
+        "query-int-sides",
+        "query-unhashable-node",
+        "format-int-path",
+        "format-label-node",
+        "format-unknown-node",
+        "discriminating-int-path",
+        "json-dict-of-str",
+        "dot-of-str",
+        "json-of-int",
+        "parse-json-int",
+        "parse-dot-int",
+    ],
+)
+def test_public_calls_raise_input_error_on_ill_typed_arguments(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_edge_rejects_ill_typed_endpoints():

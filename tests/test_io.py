@@ -88,3 +88,5 @@ def test_dot_rejects_garbage():
         parse_dot('digraph {\n  "A" -> "B";\n}')  # undeclared nodes
     with pytest.raises(ParseError):
         parse_dot('digraph {\n  "A";\n')
+    with pytest.raises(ParseError, match="self-loop"):
+        parse_dot('digraph {\n  "A";\n  "A" -> "A";\n}')

@@ -222,20 +222,42 @@ def _ring_with_chords(rng, n, chords):
     return rows
 
 
+def _gnp_rows(rng, n, p):
+    # G(n, p): each edge present with probability p
+    rows = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < p:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return rows
+
+
+def _first_min_cut_agrees(rng, rows):
+    # on one random pair; False when the pair drawn is adjacent
+    n = len(rows)
+    x, y = rng.sample(range(n), 2)
+    if (rows[x] >> y) & 1:
+        return False
+    inner = ((1 << n) - 1) & ~((1 << x) | (1 << y))
+    want = first_vertex_cut_bruteforce(rows, x, y, inner)
+    assert _first_min_cut(rows, x, y, inner) == want, (rows, x, y)
+    return True
+
+
 def test_first_min_cut_matches_bruteforce_on_random_graphs():
     rng = random.Random(3)
     checked = 0
     for _ in range(5000):
         n = rng.randint(10, 14)
         rows = _ring_with_chords(rng, n, rng.choice((4, 6)))
-        x, y = rng.sample(range(n), 2)
-        if (rows[x] >> y) & 1:
-            continue
-        inner = ((1 << n) - 1) & ~((1 << x) | (1 << y))
-        want = first_vertex_cut_bruteforce(rows, x, y, inner)
-        assert _first_min_cut(rows, x, y, inner) == want, (rows, x, y)
-        checked += 1
+        checked += _first_min_cut_agrees(rng, rows)
     assert checked > 3500
+    checked = 0
+    for _ in range(2000):
+        rows = _gnp_rows(rng, rng.randint(8, 13), rng.choice((0.2, 0.35)))
+        checked += _first_min_cut_agrees(rng, rows)
+    assert checked > 1000
 
 
 def _mediator_graph(rng, k):

@@ -20,7 +20,7 @@ from .graph import (
     format_path,
     mag_violation,
 )
-from .equivalence import equivalence_witness, markov_equivalent_bruteforce
+from .equivalence import equivalence_witness, signature_witness
 from .io import graph_to_dot, graph_to_json_dict, load_graph
 from .separation import find_connecting_path, m_connected
 from .transform import (
@@ -107,15 +107,28 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     return 1 if connected else 0
 
 
+def _signature_witness_text(m1: Mag, m2: Mag) -> str | None:
+    query = signature_witness(m1, m2)
+    if query is None:
+        return None
+    x, y, given = query
+    lbl = m1.labels
+    which = "first" if m_connected(m1.graph, x, y, given) else "second"
+    shown = "{" + ", ".join(sorted(lbl[v] for v in given)) + "}"
+    return (
+        f"{lbl[x]} and {lbl[y]} are m-connected given {shown} "
+        f"in the {which} graph only"
+    )
+
+
 def _cmd_equiv(args: argparse.Namespace) -> int:
     m1 = Mag(load_graph(args.first))
     m2 = Mag(load_graph(args.second))
     if args.oracle:
-        witness = None
-        same = markov_equivalent_bruteforce(m1, m2)
+        witness = _signature_witness_text(m1, m2)
     else:
         witness = equivalence_witness(m1, m2)
-        same = witness is None
+    same = witness is None
     if args.format == "json":
         print(
             json.dumps(

@@ -31,6 +31,7 @@ from .graph import (
 from .equivalence import (
     _discriminating_witness,
     _local_key,
+    _triple_masks,
     markov_equivalent_bruteforce,
 )
 from .separation import separation_signature
@@ -372,6 +373,19 @@ def _mag_or_none(g: MixedGraph) -> Mag | None:
     return Mag._trusted(g) if is_mag(g) else None
 
 
+def _bucket_verdicts(graphs: list[MixedGraph]) -> Iterator[np.ndarray]:
+    # The graphical test inside one local-key bucket, a bool row per member
+    # over all members.  A pair whose candidate-triple masks leave no
+    # triple is equivalent without a search (see _triple_masks); every
+    # other pair asks the discriminating-path search.
+    f, c = _triple_masks(graphs)
+    for i, g in enumerate(graphs):
+        row = np.ones(len(graphs), dtype=bool)
+        for j in np.flatnonzero(f[i] & f & (c[i] ^ c)):
+            row[j] = _discriminating_witness(g, graphs[j]) is None
+        yield row
+
+
 def _oracle_violations(part: ClassPartition) -> list[str]:
     # Where the graphical test disagrees with the signature classes, over
     # every ordered pair, in pair order.  The test is False across local
@@ -389,13 +403,15 @@ def _oracle_violations(part: ClassPartition) -> list[str]:
     bucket_of = [0] * len(keys)
     found = []
     for b, members in enumerate(buckets.values()):
-        for i in members:
+        cls = np.array([class_id[i] for i in members])
+        rows = _bucket_verdicts([graphs[i] for i in members])
+        for i, row in zip(members, rows):
             bucket_of[i] = b
-            for j in members:
-                graphical = _discriminating_witness(graphs[i], graphs[j]) is None
-                brute = class_id[i] == class_id[j]
-                if graphical != brute:
-                    found.append((i, j, graphical, brute))
+            brute = cls == class_id[i]
+            found.extend(
+                (i, members[j], bool(row[j]), bool(brute[j]))
+                for j in np.flatnonzero(row != brute)
+            )
     for members in classes.values():
         if len({bucket_of[i] for i in members}) > 1:
             found.extend(
@@ -418,7 +434,11 @@ def verify_theorems(n: int) -> EquivalenceReport:
     the blanket predicates for mark flips between equivalent MAGs, the
     screened reversal characterization, both path lemmas behind them, and
     agreement of the graphical equivalence test with the brute-force oracle
-    on every ordered pair.
+    on every ordered pair.  Inside each (skeleton, unshielded-collider)
+    bucket, the shared candidate-triple masks of ``_triple_masks`` settle
+    every pair with no triple to search as equivalent, and only the other
+    pairs run the discriminating-path search; the verdict on each pair is
+    the one the search alone would give.
     """
     part = partition_into_classes(enumerate_mags(n))
     known = part.graphs_by_key

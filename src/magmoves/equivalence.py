@@ -18,7 +18,9 @@ alongside a brute-force oracle that compares full separation signatures.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .graph import (
@@ -30,7 +32,7 @@ from .graph import (
     require_mags,
     require_path,
 )
-from .separation import separation_signature
+from .separation import _signature_query, separation_signature
 
 __all__ = [
     "unshielded_colliders",
@@ -39,6 +41,7 @@ __all__ = [
     "equivalence_witness",
     "markov_equivalent",
     "markov_equivalent_bruteforce",
+    "signature_witness",
 ]
 
 
@@ -220,6 +223,39 @@ def _discriminating_witness(g1: MixedGraph, g2: MixedGraph) -> str | None:
     return None
 
 
+def _triple_masks(graphs: Sequence[MixedGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Two uint64 masks per graph over the shared ordered triangle triples.
+
+    All ``graphs`` must share one skeleton, so they share the ordered
+    triples ``(q, b, y)`` of pairwise adjacent nodes: at most 60 for five
+    nodes, one bit each (more than 64 is an error).  Bit t of ``f[i]`` is
+    set when ``q -> y`` and ``b`` has an arrowhead at ``q`` in graph i; bit
+    t of ``c[i]`` when ``b`` is a collider on ``(q, b, y)`` there.  These
+    are the only triples :func:`_discriminating_witness` searches from, so
+    it returns None for graphs i and j whenever
+    ``f[i] & f[j] & (c[i] ^ c[j])`` is 0; otherwise it still has to search.
+    """
+    adj = graphs[0]._adj
+    triples = [
+        (q, b, y)
+        for y in range(graphs[0].n)
+        for q in iter_bits(adj[y])
+        for b in iter_bits(adj[q] & adj[y])
+    ]
+    if len(triples) > 64:
+        raise ValueError(f"{len(triples)} triangle triples exceed one uint64")
+    q, b, y = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    pa = np.array([g._pa for g in graphs], dtype=np.int64)
+    head = pa | np.array([g._sp for g in graphs], dtype=np.int64)
+    f = (pa[:, y] >> q) & (head[:, q] >> b) & 1
+    c = (head[:, b] >> q) & (head[:, b] >> y) & 1
+    weight = np.uint64(1) << np.arange(len(triples), dtype=np.uint64)
+    return (
+        (f.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
+        (c.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
+    )
+
+
 def equivalence_witness(m1: Mag, m2: Mag) -> str | None:
     """Why two MAGs on the same nodes are not Markov equivalent, or None
     when they are.
@@ -244,7 +280,17 @@ def markov_equivalent(m1: Mag, m2: Mag) -> bool:
     return equivalence_witness(m1, m2) is None
 
 
+def signature_witness(m1: Mag, m2: Mag) -> tuple[int, int, frozenset[int]] | None:
+    """The first query ``(x, y, Z)``, in :func:`separation_signature` bit
+    order, on which the two MAGs' m-separation verdicts differ, or None
+    when they agree on every query."""
+    require_mags(m1, m2)
+    diff = separation_signature(m1.graph) ^ separation_signature(m2.graph)
+    if not diff:
+        return None
+    return _signature_query(m1.n, (diff & -diff).bit_length() - 1)
+
+
 def markov_equivalent_bruteforce(m1: Mag, m2: Mag) -> bool:
     """Definitional test: identical m-separation verdicts on every query."""
-    require_mags(m1, m2)
-    return separation_signature(m1.graph) == separation_signature(m2.graph)
+    return signature_witness(m1, m2) is None

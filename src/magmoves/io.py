@@ -12,6 +12,7 @@ emitted files round-trip.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 
@@ -104,7 +105,9 @@ def graph_to_json_dict(g: MixedGraph) -> dict:
     }
 
 
-def graph_to_json(g: MixedGraph, indent: int | None = 2) -> str:
+def graph_to_json(g: MixedGraph, indent: int | str | None = 2) -> str:
+    if isinstance(indent, bool) or not isinstance(indent, (int, str, type(None))):
+        raise InputError(f"indent must be None, an int or a str, got {indent!r}")
     return json.dumps(graph_to_json_dict(g), indent=indent)
 
 
@@ -182,8 +185,11 @@ def parse_dot(text: str) -> MixedGraph:
         raise ParseError(str(exc)) from None
 
 
-def load_graph(path: str) -> MixedGraph:
+def load_graph(path: str | os.PathLike) -> MixedGraph:
     """Read a JSON graph from a file path, or from stdin when path is '-'."""
+    # open() would take an int as a file descriptor, and close it after
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputError(f"expected a file path, got {path!r}")
     try:
         if path == "-":
             text = sys.stdin.read()

@@ -342,3 +342,14 @@ def separation_signature(g: MixedGraph) -> int:
                 zmask = (zmask - rest) & rest
     g._sig = sig
     return sig
+
+
+def _signature_query(n: int, pos: int) -> tuple[int, int, frozenset[int]]:
+    # The query (x, y, Z) behind bit ``pos`` of an n-node signature: each
+    # pair x < y owns 2^(n-2) bits, and bit i of the offset inside that
+    # block puts the i-th lowest node other than x and y into Z.
+    k = pos & ((1 << (n - 2)) - 1)
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    x, y = pairs[pos >> (n - 2)]
+    rest = [v for v in range(n) if v not in (x, y)]
+    return x, y, frozenset(v for i, v in enumerate(rest) if (k >> i) & 1)

@@ -208,6 +208,16 @@ def test_equiv_json_witness(write_graph, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "equivalent": False,
         "method": "oracle",
+        "witness": "X and Y are m-connected given {} in the first graph only",
+    }
+    assert main(["equiv", coll, chain, "--oracle", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == (
+        "X and Y are m-connected given {} in the second graph only"
+    )
+    assert main(["equiv", chain, chain, "--oracle", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "equivalent": True,
+        "method": "oracle",
         "witness": None,
     }
 

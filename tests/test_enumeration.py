@@ -19,9 +19,10 @@ from magmoves import (
     unshielded_colliders,
 )
 from magmoves import _kernels, enumeration, transform
-from magmoves.equivalence import _local_key
+from magmoves.equivalence import _discriminating_witness, _local_key, _triple_masks
 
 from oracles import lemma1_by_paths
+from random_graphs import mark_change_walk, random_dag
 
 
 def test_code_round_trip():
@@ -313,13 +314,14 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
     if equivalent is None:
         equivalent = markov_equivalent
     else:
-        # inside a bucket the loop asks the discriminating-path search alone
+        # inside a bucket the loop asks the bucket verdicts alone
         monkeypatch.setattr(
             enumeration,
-            "_discriminating_witness",
-            lambda g1, g2: None
-            if equivalent(Mag._trusted(g1), Mag._trusted(g2))
-            else "not equivalent",
+            "_bucket_verdicts",
+            lambda graphs: (
+                np.array([equivalent(Mag._trusted(a), Mag._trusted(b)) for b in graphs])
+                for a in graphs
+            ),
         )
     signature = signature or enumeration.separation_signature
     monkeypatch.setattr(enumeration, "separation_signature", signature)
@@ -328,6 +330,53 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
     assert want
     assert list(got.violations) == want
     assert got.cases == 56**2
+
+
+def _assert_bucket_verdicts_match_search(mags):
+    # Every ordered pair of every local-key bucket among ``mags``; returns
+    # the pair count and how many of them the search tells apart.
+    buckets = {}
+    for m in mags:
+        buckets.setdefault(_local_key(m.graph), []).append(m.graph)
+    pairs = apart = 0
+    for graphs in buckets.values():
+        got = [list(row) for row in enumeration._bucket_verdicts(graphs)]
+        want = [[_discriminating_witness(a, b) is None for b in graphs] for a in graphs]
+        assert got == want, graphs
+        pairs += len(graphs) ** 2
+        apart += sum(not v for row in want for v in row)
+    return pairs, apart
+
+
+def test_bucket_verdicts_match_discriminating_search(mags_by_n):
+    counts = [_assert_bucket_verdicts_match_search(mags_by_n[n]) for n in (1, 2, 3, 4)]
+    assert counts[3][0] == 89_302
+    assert counts[3][1] > 0
+
+
+def test_bucket_verdicts_match_discriminating_search_on_random_walks():
+    rng = random.Random(8)
+    pairs = apart = 0
+    for _ in range(60):
+        start = Mag(random_dag(rng, 5, rng.uniform(2.0, 4.0)))
+        if not start.edges:
+            continue
+        walk = set(mark_change_walk(rng, start, 60))
+        p, a = _assert_bucket_verdicts_match_search(
+            sorted(walk | {start}, key=Mag.canonical_key)
+        )
+        pairs += p
+        apart += a
+    assert pairs > 10_000
+    assert apart > 0
+
+
+def test_triple_masks_stop_at_one_word():
+    complete = MixedGraph(
+        6, [directed(u, v) for u in range(6) for v in range(u + 1, 6)]
+    )
+    with pytest.raises(ValueError):
+        _triple_masks([complete])
 
 
 def _literal_counterexamples(n):

@@ -17,7 +17,9 @@ from magmoves import (
     is_discriminating_path,
     legal_moves,
     markov_equivalent,
+    m_connected,
     markov_equivalent_bruteforce,
+    signature_witness,
     unshielded_colliders,
 )
 from magmoves.equivalence import _local_key
@@ -167,6 +169,43 @@ def test_node_set_mismatch_rejected(g_edge):
         markov_equivalent(m1, m2)
     with pytest.raises(InputError):
         markov_equivalent_bruteforce(m1, m2)
+
+
+def _queries_in_signature_order(n):
+    # Pairs x < y in order, then Z over the other nodes in ascending order
+    # of its bit mask.
+    out = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            rest = [v for v in range(n) if v not in (x, y)]
+            subsets = [
+                frozenset(v for i, v in enumerate(rest) if (k >> i) & 1)
+                for k in range(1 << len(rest))
+            ]
+            subsets.sort(key=lambda z: sum(1 << v for v in z))
+            out.extend((x, y, z) for z in subsets)
+    return out
+
+
+def test_signature_witness_names_first_differing_query(mags_by_n):
+    differ = 0
+    for n in (1, 2, 3):
+        queries = _queries_in_signature_order(n)
+        verdicts = [
+            [m_connected(m.graph, x, y, z) for x, y, z in queries]
+            for m in mags_by_n[n]
+        ]
+        for a, va in zip(mags_by_n[n], verdicts):
+            for b, vb in zip(mags_by_n[n], verdicts):
+                got = signature_witness(a, b)
+                if va == vb:
+                    assert got is None, (a, b)
+                    continue
+                differ += 1
+                i = queries.index(got)  # raises unless got is a query
+                assert va[i] != vb[i], (a, b, got)
+                assert va[:i] == vb[:i], (a, b, got)
+    assert differ == 6 + 2624  # ordered pairs in different classes, n = 2, 3
 
 
 def test_equivalence_relation_on_three_nodes(mags_by_n):

@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
 from magmoves import (
+    InputError,
     MixedGraph,
     ParseError,
     bidirected,
@@ -8,6 +11,7 @@ from magmoves import (
     graph_to_dot,
     graph_to_json,
     graph_to_json_dict,
+    load_graph,
     parse_dot,
     parse_graph_json,
 )
@@ -90,3 +94,27 @@ def test_dot_rejects_garbage():
         parse_dot('digraph {\n  "A";\n')
     with pytest.raises(ParseError, match="self-loop"):
         parse_dot('digraph {\n  "A";\n  "A" -> "A";\n}')
+
+
+def test_load_graph_reads_str_and_pathlike_paths(tmp_path, g_discpath):
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(g_discpath))
+    assert load_graph(str(path)) == g_discpath
+    assert load_graph(path) == g_discpath
+
+
+def test_load_graph_rejects_non_paths_and_keeps_descriptors_open():
+    for bad in (1, 0, True, False, 2.5, None, b"g.json", ["g.json"]):
+        with pytest.raises(InputError, match="expected a file path"):
+            load_graph(bad)
+    # open(1) would have read and then closed standard output
+    os.fstat(0)
+    os.fstat(1)
+
+
+def test_graph_to_json_rejects_bad_indent(g_edge):
+    assert "\n" not in graph_to_json(g_edge, indent=None)
+    assert "\n\t" in graph_to_json(g_edge, indent="\t")
+    for bad in ((0,), 1.5, True, [2]):
+        with pytest.raises(InputError, match="indent"):
+            graph_to_json(g_edge, indent=bad)

@@ -31,13 +31,11 @@ from .transform import (
     legal_moves,
 )
 
-_FORMATS = ("text", "json", "dot")
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser, *extra: str) -> None:
+    # text and json everywhere; ``extra`` for commands that print a graph
     parser.add_argument(
         "--format",
-        choices=_FORMATS,
+        choices=("text", "json", *extra),
         default="text",
         help="output format (default: text)",
     )
@@ -48,7 +46,9 @@ def _node_ids(g: MixedGraph, labels: list[str]) -> list[int]:
 
 
 def _split_labels(raw: str) -> list[str]:
-    return [part for part in (p.strip() for p in raw.split(",")) if part]
+    # the non-empty comma-separated labels, each once, in first-seen order
+    parts = (p.strip() for p in raw.split(","))
+    return list(dict.fromkeys(p for p in parts if p))
 
 
 def _emit_graph(g: MixedGraph, fmt: str) -> None:
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--x", required=True, help="x endpoint label")
     p.add_argument("--y", required=True, help="y endpoint label")
-    _add_format(p)
+    _add_format(p, "dot")
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("class", help="closure of a MAG under licensed moves")
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all MAGs on n nodes")
     p.add_argument("--n", type=int, required=True)
-    _add_format(p)
+    _add_format(p, "dot")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(

@@ -30,6 +30,7 @@ from .graph import (
 )
 from .equivalence import (
     _discriminating_witness,
+    _head_rows,
     _local_key,
     _triple_masks,
     markov_equivalent_bruteforce,
@@ -379,10 +380,13 @@ def _bucket_verdicts(graphs: list[MixedGraph]) -> Iterator[np.ndarray]:
     # triple is equivalent without a search (see _triple_masks); every
     # other pair asks the discriminating-path search.
     f, c = _triple_masks(graphs)
+    heads = [_head_rows(g) for g in graphs]
     for i, g in enumerate(graphs):
         row = np.ones(len(graphs), dtype=bool)
         for j in np.flatnonzero(f[i] & f & (c[i] ^ c)):
-            row[j] = _discriminating_witness(g, graphs[j]) is None
+            row[j] = (
+                _discriminating_witness(g, graphs[j], heads[i], heads[j]) is None
+            )
         yield row
 
 

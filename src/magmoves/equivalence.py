@@ -191,11 +191,17 @@ def _local_witness(g1: MixedGraph, g2: MixedGraph) -> str:
     return f"unshielded collider {format_path(g, triple)} in the {which} graph only"
 
 
-def _discriminating_witness(g1: MixedGraph, g2: MixedGraph) -> str | None:
-    # For graphs with equal local keys: a path that discriminates a node in
-    # both graphs with a different collider status, or None.
-    head1 = [a | s for a, s in zip(g1._pa, g1._sp)]
-    head2 = [a | s for a, s in zip(g2._pa, g2._sp)]
+def _head_rows(g: MixedGraph) -> list[int]:
+    # Per node, the nodes whose edge to it carries an arrowhead at it.
+    return [a | s for a, s in zip(g._pa, g._sp)]
+
+
+def _discriminating_witness(
+    g1: MixedGraph, g2: MixedGraph, head1: list[int], head2: list[int]
+) -> str | None:
+    # For graphs with equal local keys, given their _head_rows: a path that
+    # discriminates a node in both graphs with a different collider status,
+    # or None.
     into = [a & b for a, b in zip(head1, head2)]  # arrowheads shared by both
     bi = [a & b for a, b in zip(g1._sp, g2._sp)]
     adj = g1._adj
@@ -268,7 +274,7 @@ def equivalence_witness(m1: Mag, m2: Mag) -> str | None:
     g1, g2 = m1.graph, m2.graph
     if _local_key(g1) != _local_key(g2):
         return _local_witness(g1, g2)
-    return _discriminating_witness(g1, g2)
+    return _discriminating_witness(g1, g2, _head_rows(g1), _head_rows(g2))
 
 
 def markov_equivalent(m1: Mag, m2: Mag) -> bool:

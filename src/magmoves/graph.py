@@ -618,17 +618,34 @@ def maximality_witness(
     """The first non-adjacent pair ``(x, y)``, ``x < y`` in ascending order,
     joined by an inducing path, with the path, or None.
 
-    Only pairs that could be joined are searched.  Every internal node of an
-    inducing path is a collider on it, so consecutive internal nodes are
-    spouses and the interior lies in one district (bi-directed component);
-    the first internal node is a child or spouse of ``x`` and the last one
-    has ``y`` as a parent or spouse.  So for each ``x`` the candidates are
-    the ``y`` that are parents or spouses of a node in the spouse-closure of
-    the children and spouses of ``x``: a superset of the pairs that have an
-    inducing path, tried in the same ascending order as the all-pairs scan,
-    which therefore returns the same pair and path.
+    Defined on any mixed graph.  Only pairs that could be joined are
+    searched, tried in the same ascending order and with the same search as
+    the all-pairs scan, which therefore returns the same pair and path.
+
+    Let ``<x, w1, ..., wk, y>`` be an inducing path.  Every internal node
+    is a collider on it, so consecutive internal nodes are spouses and the
+    interior lies in one district (bi-directed component); ``w1`` is a
+    child or spouse of ``x`` and ``y`` is a parent or spouse of ``wk``.  On
+    any graph, then, the candidates for each ``x`` are the ``y`` that are
+    parents or spouses of a node in the spouse-closure of the children and
+    spouses of ``x``.
+
+    An ancestral graph narrows this further.  Since ``x -> w1`` or
+    ``x <-> w1``, ``w1`` is not an ancestor of ``x``: the first would close
+    a directed cycle, the second would put a directed path between the ends
+    of a bi-directed edge.  Being an ancestor of ``x`` or ``y``, ``w1`` is
+    in ``An(y)``.  By the same argument ``wk`` is in ``An(x)`` and not in
+    ``An(y)``, so ``wk != w1``, ``k >= 2``, and both have a spouse.  So the
+    only ``y`` worth a search are those above ``x`` and not adjacent to it
+    that are a parent or spouse of some ``w != x`` in ``An(x)``, where
+    ``w`` lies in the district of a node of ``ch(x) | sp(x)`` that has a
+    spouse, and where some node of ``ch(x) | sp(x)`` in ``An(y)`` has a
+    spouse.  On a graph that is not ancestral ``w1`` may be an ancestor of
+    ``x``, so only the wider search is exact there.
     """
     require_graph(g)
+    if is_ancestral(g):
+        return _ancestral_maximality_witness(g)
     adj, pa, ch, sp = g._adj, g._pa, g._ch, g._sp
     full = (1 << g.n) - 1
     for x in range(g.n):
@@ -658,6 +675,52 @@ def maximality_witness(
     return None
 
 
+def _ancestral_maximality_witness(
+    g: MixedGraph,
+) -> tuple[int, int, tuple[int, ...]] | None:
+    # maximality_witness for a graph known to be ancestral, over the
+    # candidates its docstring derives for that case.
+    adj, pa, ch, sp = g._adj, g._pa, g._ch, g._sp
+    n = g.n
+    paired = 0  # nodes with a spouse
+    for w in range(n):
+        if sp[w]:
+            paired |= 1 << w
+    if not paired:
+        return None
+    full = (1 << n) - 1
+    for x in range(n):
+        partners = full & ~adj[x] & ~((2 << x) - 1)  # non-adjacent, above x
+        if not partners:
+            continue
+        firsts = (ch[x] | sp[x]) & paired  # candidates for w1
+        if not firsts:
+            continue
+        anx = g.ancestor_mask(x)
+        lasts = anx & paired & ~(1 << x)  # candidates for wk
+        if not lasts:
+            continue
+        reach = frontier = firsts  # their districts
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= sp[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~reach
+            reach |= frontier
+        heads = 0
+        for w in iter_bits(reach & lasts):
+            heads |= pa[w] | sp[w]
+        for y in iter_bits(heads & partners):
+            any_y = g.ancestor_mask(y)
+            if firsts & any_y:
+                path = _inducing_path(g, x, y, anx | any_y)
+                if path is not None:
+                    return x, y, path
+    return None
+
+
 def is_maximal(g: MixedGraph) -> bool:
     """No inducing path between any non-adjacent pair.
 
@@ -665,7 +728,7 @@ def is_maximal(g: MixedGraph) -> bool:
     """
     if not is_ancestral(g):
         raise PreconditionError("is_maximal requires an ancestral graph")
-    return maximality_witness(g) is None
+    return _ancestral_maximality_witness(g) is None
 
 
 def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
@@ -678,7 +741,7 @@ def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
     """
     if not is_ancestral(g):
         return "ancestral", _ancestral_witness(g)
-    gap = maximality_witness(g)
+    gap = _ancestral_maximality_witness(g)
     if gap is None:
         return None
     x, y, path = gap
@@ -691,7 +754,7 @@ def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
 def is_mag(g: MixedGraph) -> bool:
     """Ancestral and maximal: ``mag_violation`` is None, without building
     its text."""
-    return is_ancestral(g) and maximality_witness(g) is None
+    return is_ancestral(g) and _ancestral_maximality_witness(g) is None
 
 
 def require_mags(*mags: "Mag") -> None:

@@ -42,18 +42,17 @@ def mark_change_walk(rng, m, steps):
     return out
 
 
-def random_mag(rng, n, degree):
-    """A random DAG, some edges made bi-directed where the DAG of the
-    others has no directed path between the endpoints, then made maximal
-    by joining every pair an inducing path links (Richardson & Spirtes
-    2002, Thm 5.1)."""
+def random_ancestral(rng, n, degree):
+    """A random DAG with some edges made bi-directed where the DAG of the
+    others has no directed path between the endpoints: an ancestral graph,
+    usually not maximal."""
     order = list(range(n))
     rng.shuffle(order)
     pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
     chosen = rng.sample(pairs, int(degree * n / 2))
     bi = [rng.random() < 0.3 for _ in chosen]
     dag = MixedGraph(n, [directed(a, b) for (a, b), f in zip(chosen, bi) if not f])
-    g = MixedGraph(
+    return MixedGraph(
         n,
         [
             bidirected(a, b)
@@ -62,12 +61,23 @@ def random_mag(rng, n, degree):
             for (a, b), f in zip(chosen, bi)
         ],
     )
+
+
+def join_pair(g, a, b):
+    """``g`` with non-adjacent ``a`` and ``b`` joined by the edge that keeps
+    an ancestral graph ancestral: directed along an existing directed path,
+    else bi-directed."""
+    if (g.ancestor_mask(b) >> a) & 1:
+        return g.with_edge(directed(a, b))
+    if (g.ancestor_mask(a) >> b) & 1:
+        return g.with_edge(directed(b, a))
+    return g.with_edge(bidirected(a, b))
+
+
+def random_mag(rng, n, degree):
+    """A :func:`random_ancestral` graph made maximal by joining every pair
+    an inducing path links (Richardson & Spirtes 2002, Thm 5.1)."""
+    g = random_ancestral(rng, n, degree)
     while (gap := maximality_witness(g)) is not None:
-        a, b, _ = gap
-        if (g.ancestor_mask(b) >> a) & 1:
-            g = g.with_edge(directed(a, b))
-        elif (g.ancestor_mask(a) >> b) & 1:
-            g = g.with_edge(directed(b, a))
-        else:
-            g = g.with_edge(bidirected(a, b))
+        g = join_pair(g, *gap[:2])
     return Mag(g).graph

@@ -141,6 +141,12 @@ def test_separate_verdicts(collider_file, capsys):
     assert "X->Z<-Y" in out
 
 
+def test_separate_shows_each_given_label_once(collider_file, capsys):
+    argv = ["separate", collider_file, "--x", "X", "--y", "Y", "--given", "Z,Z, Z"]
+    assert main(argv) == 1
+    assert "m-connected given {Z};" in capsys.readouterr().out
+
+
 def test_separate_json(collider_file, capsys):
     assert (
         main(
@@ -368,6 +374,33 @@ def test_unreadable_bytes_exit_two(tmp_path, capsys, raw):
     path.write_bytes(raw)
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dot_format_on_graph_printing_commands(edge_file, capsys):
+    argv = ["apply", edge_file, "--kind", "dir-to-bi", "--x", "X", "--y", "Y"]
+    assert main(argv + ["--format", "dot"]) == 0
+    assert '"X" -> "Y" [dir=both];' in capsys.readouterr().out
+    assert main(["enumerate", "--n", "2", "--format", "dot"]) == 0
+    assert capsys.readouterr().out.count("digraph {") == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{g}"],
+        ["separate", "{g}", "--x", "X", "--y", "Y"],
+        ["equiv", "{g}", "{g}"],
+        ["moves", "{g}"],
+        ["class", "{g}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dot_format_is_a_usage_error_on_queries(edge_file, capsys, argv):
+    argv = [edge_file if a == "{g}" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two():

@@ -11,6 +11,7 @@ from magmoves import (
     NotAMagError,
     bidirected,
     directed,
+    equivalence_witness,
     graph_from_pair_code,
     is_ancestral,
     is_mag,
@@ -19,7 +20,7 @@ from magmoves import (
     unshielded_colliders,
 )
 from magmoves import _kernels, enumeration, transform
-from magmoves.equivalence import _discriminating_witness, _local_key, _triple_masks
+from magmoves.equivalence import _local_key, _triple_masks
 
 from oracles import lemma1_by_paths
 from random_graphs import mark_change_walk, random_dag
@@ -337,11 +338,12 @@ def _assert_bucket_verdicts_match_search(mags):
     # the pair count and how many of them the search tells apart.
     buckets = {}
     for m in mags:
-        buckets.setdefault(_local_key(m.graph), []).append(m.graph)
+        buckets.setdefault(_local_key(m.graph), []).append(m)
     pairs = apart = 0
-    for graphs in buckets.values():
+    for members in buckets.values():
+        graphs = [m.graph for m in members]
         got = [list(row) for row in enumeration._bucket_verdicts(graphs)]
-        want = [[_discriminating_witness(a, b) is None for b in graphs] for a in graphs]
+        want = [[equivalence_witness(a, b) is None for b in members] for a in members]
         assert got == want, graphs
         pairs += len(graphs) ** 2
         apart += sum(not v for row in want for v in row)

@@ -50,7 +50,7 @@ from oracles import (
     maximality_witness_all_pairs,
     simple_paths_recursive,
 )
-from random_graphs import random_mag
+from random_graphs import join_pair, random_ancestral, random_mag
 
 
 def test_construction_rejects_self_loop():
@@ -361,6 +361,49 @@ def test_maximality_witness_matches_all_pairs_scan_on_sampled_codes():
         assert got == maximality_witness_all_pairs(g), (n, code)
         found += got is not None
     assert found > 500
+
+
+def test_maximality_witness_matches_all_pairs_scan_on_ancestral_codes():
+    # Random codes are rarely ancestral; these orient every directed edge
+    # along a random node order and keep only the ancestral graphs.
+    rng = random.Random(607)
+    kept = found = 0
+    while kept < 4000:
+        n = rng.randint(5, 9)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        absent = rng.choice((0.3, 0.5, 0.7))
+        code = 0
+        for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+            if rng.random() >= absent:
+                state = 3 if rng.random() < 0.6 else 1 if rank[i] < rank[j] else 2
+                code |= state << (2 * p)
+        g = graph_from_pair_code(n, code)
+        if not is_ancestral(g):
+            continue
+        kept += 1
+        got = maximality_witness(g)
+        assert got == maximality_witness_all_pairs(g), (n, code)
+        found += got is not None
+    assert found > 150
+
+
+def test_maximality_witness_matches_all_pairs_scan_on_ancestral_graphs():
+    # Ancestral graphs built as random_mag builds them, joined one pair at a
+    # time until maximal: the graphs the ancestral pruning decides.
+    rng = random.Random(608)
+    found = 0
+    for _ in range(800):
+        g = random_ancestral(rng, rng.randint(8, 60), rng.randint(2, 6))
+        while True:
+            assert is_ancestral(g)
+            got = maximality_witness(g)
+            assert got == maximality_witness_all_pairs(g)
+            if got is None:
+                break
+            found += 1
+            g = join_pair(g, *got[:2])
+    assert found >= 120
 
 
 def test_maximality_witness_matches_all_pairs_scan_at_scale():

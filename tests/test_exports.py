@@ -101,6 +101,7 @@ _CALLS = {
     "markov_equivalent": (markov_equivalent, (_M, _M)),
     "markov_equivalent_bruteforce": (markov_equivalent_bruteforce, (_M, _M)),
     "signature_witness": (signature_witness, (_M, _M)),
+    # a MoveDescriptor holds its fields unchecked; apply_move checks them
     "MoveDescriptor": (
         lambda kind, x, y: apply_move(_M, MoveDescriptor(kind, x, y)),
         (MoveKind.DIR_TO_BI, 0, 1),

@@ -90,14 +90,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     connected = m_connected(g, x, y, given)
     path = find_connecting_path(g, x, y, given) if connected else None
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "connected": connected,
-                    "path": [g.labels[v] for v in path] if path else None,
-                }
-            )
-        )
+        labels = [g.labels[v] for v in path] if path else None
+        print(json.dumps({"connected": connected, "path": labels}))
     else:
         shown = "{" + ", ".join(sorted(g.labels[v] for v in given)) + "}"
         if connected:
@@ -130,15 +124,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         witness = equivalence_witness(m1, m2)
     same = witness is None
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "equivalent": same,
-                    "method": "oracle" if args.oracle else "graphical",
-                    "witness": witness,
-                }
-            )
-        )
+        method = "oracle" if args.oracle else "graphical"
+        print(json.dumps({"equivalent": same, "method": method, "witness": witness}))
     else:
         print("equivalent" if same else "not equivalent")
     return 0 if same else 1
@@ -147,18 +134,13 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_moves(args: argparse.Namespace) -> int:
     m = Mag(load_graph(args.graph))
     moves = legal_moves(m)
+    lbl = m.labels
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"kind": mv.kind.value, "x": m.labels[mv.x], "y": m.labels[mv.y]}
-                    for mv in moves
-                ]
-            )
-        )
+        out = [{"kind": mv.kind.value, "x": lbl[mv.x], "y": lbl[mv.y]} for mv in moves]
+        print(json.dumps(out))
     else:
         for mv in moves:
-            print(f"{mv.kind.value} {m.labels[mv.x]} {m.labels[mv.y]}")
+            print(f"{mv.kind.value} {lbl[mv.x]} {lbl[mv.y]}")
     return 0
 
 
@@ -176,18 +158,9 @@ def _cmd_class(args: argparse.Namespace) -> int:
     m = Mag(load_graph(args.graph))
     res = equivalence_class_closure(m, max_size=args.max)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "keys": sorted(res.keys),
-                    "truncated": res.truncated,
-                    "graphs": {
-                        k: graph_to_json_dict(v.graph)
-                        for k, v in sorted(res.graphs.items())
-                    },
-                }
-            )
-        )
+        graphs = {k: graph_to_json_dict(v.graph) for k, v in sorted(res.graphs.items())}
+        out = {"keys": sorted(res.keys), "truncated": res.truncated, "graphs": graphs}
+        print(json.dumps(out))
     else:
         for key in sorted(res.keys):
             print(key)
@@ -248,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--x", required=True, help="first node label")
     p.add_argument("--y", required=True, help="second node label")
-    p.add_argument(
-        "--given", default="", help="comma-separated conditioning labels"
-    )
+    p.add_argument("--given", default="", help="comma-separated conditioning labels")
     _add_format(p)
     p.set_defaults(func=_cmd_separate)
 
@@ -272,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="apply one edge replacement")
     p.add_argument("graph")
-    p.add_argument(
-        "--kind", required=True, choices=[k.value for k in MoveKind]
-    )
+    p.add_argument("--kind", required=True, choices=[k.value for k in MoveKind])
     p.add_argument("--x", required=True, help="x endpoint label")
     p.add_argument("--y", required=True, help="y endpoint label")
     _add_format(p, "dot")

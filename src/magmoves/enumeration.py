@@ -21,6 +21,7 @@ from .graph import (
     Mag,
     MixedGraph,
     _check_labels,
+    _pair_shift,
     _token,
     bidirected,
     directed,
@@ -324,7 +325,6 @@ def test_conjecture1(n: int) -> ConjectureReport:
     Counterexamples are reported, never asserted away.
     """
     part = partition_into_classes(enumerate_mags(n))
-    shift = {pair: 2 * p for p, pair in enumerate(_kernels.pair_list(n))}
     counterexamples = []
     pairs_examined = 0
     for keys in part.classes:
@@ -335,11 +335,11 @@ def test_conjecture1(n: int) -> ConjectureReport:
         codes = []
         blanketed = []
         for m in members:
-            codes.append(sum(s << shift[p] for p, s in m.graph._pairs.items()))
+            codes.append(m.graph.pair_code)
             bl = 0
             for mv in legal_moves(m):
                 if mv.kind is not MoveKind.REVERSE:
-                    bl |= 3 << shift[min(mv.x, mv.y), max(mv.x, mv.y)]
+                    bl |= 3 << _pair_shift(n, min(mv.x, mv.y), max(mv.x, mv.y))
             blanketed.append(bl)
         for i in range(len(members)):
             for j in range(i + 1, len(members)):

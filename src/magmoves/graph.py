@@ -92,24 +92,32 @@ def _token(u: str, v: str, bi: bool) -> str:
     return f"{u}<>{v}" if bi else f"{u}>{v}"
 
 
+def _pair_shift(n: int, i: int, j: int) -> int:
+    # Bit offset of pair (i, j), i < j, in a base-4 pair code on n nodes:
+    # twice its position in magmoves._kernels.pair_list(n).
+    return i * (2 * n - i - 1) + 2 * (j - i - 1)
+
+
 def _put_edge(
     pairs: dict[tuple[int, int], int],
     pa: list[int],
     ch: list[int],
     sp: list[int],
-    e: Edge,
+    u: int,
+    v: int,
+    bi: bool,
 ) -> None:
-    # Record ``e`` in the pair marks and the pa/ch/sp rows; the rows must
-    # hold no edge on ``e.pair``.
-    u, v = e.u, e.v
-    if e.kind is EdgeKind.DIRECTED:
-        pairs[e.pair] = _FWD if u < v else _REV
-        ch[u] |= 1 << v
-        pa[v] |= 1 << u
-    else:
-        pairs[u, v] = _BI
+    # Record ``u -> v``, or ``u <-> v`` when ``bi``, in the pair marks and
+    # the pa/ch/sp rows; the rows must hold no edge on the pair.
+    key = (u, v) if u < v else (v, u)
+    if bi:
+        pairs[key] = _BI
         sp[u] |= 1 << v
         sp[v] |= 1 << u
+    else:
+        pairs[key] = _FWD if u < v else _REV
+        ch[u] |= 1 << v
+        pa[v] |= 1 << u
 
 
 def directed(u: int, v: int) -> Edge:
@@ -120,6 +128,13 @@ def directed(u: int, v: int) -> Edge:
 def bidirected(u: int, v: int) -> Edge:
     """Edge with arrowheads at both ``u`` and ``v``."""
     return Edge(EdgeKind.BIDIRECTED, u, v)
+
+
+def _pair_edge(i: int, j: int, mark: int) -> Edge:
+    # The edge that pair mark ``mark`` stands for on the pair (i, j), i < j.
+    if mark == _BI:
+        return bidirected(i, j)
+    return directed(i, j) if mark == _FWD else directed(j, i)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -197,7 +212,7 @@ class MixedGraph:
                 raise InputError(
                     f"more than one edge between nodes {key[0]} and {key[1]}"
                 )
-            _put_edge(pairs, pa, ch, sp, e)
+            _put_edge(pairs, pa, ch, sp, u, v, e.kind is EdgeKind.BIDIRECTED)
         self._adopt(n, _check_labels(n, labels), pairs, pa, ch, sp, None)
 
     @classmethod
@@ -236,15 +251,7 @@ class MixedGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        out = []
-        for (i, j), mark in sorted(self._pairs.items()):
-            if mark == _FWD:
-                out.append(directed(i, j))
-            elif mark == _REV:
-                out.append(directed(j, i))
-            else:
-                out.append(bidirected(i, j))
-        return tuple(out)
+        return tuple(_pair_edge(i, j, s) for (i, j), s in sorted(self._pairs.items()))
 
     def check_node(self, x: int) -> None:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.n:
@@ -266,13 +273,7 @@ class MixedGraph:
         self.check_node(v)
         key = (u, v) if u < v else (v, u)
         mark = self._pairs.get(key)
-        if mark is None:
-            return None
-        if mark == _FWD:
-            return directed(*key)
-        if mark == _REV:
-            return directed(key[1], key[0])
-        return bidirected(*key)
+        return None if mark is None else _pair_edge(*key, mark)
 
     def is_parent(self, u: int, v: int) -> bool:
         """True iff the edge ``u -> v`` is present."""
@@ -368,8 +369,15 @@ class MixedGraph:
         for rows in (pa, ch, sp):
             rows[u] &= keep_u
             rows[v] &= keep_v
-        _put_edge(pairs, pa, ch, sp, edge)
+        _put_edge(pairs, pa, ch, sp, u, v, edge.kind is EdgeKind.BIDIRECTED)
         return MixedGraph._trusted(self.n, self.labels, pairs, pa, ch, sp, None)
+
+    @property
+    def pair_code(self) -> int:
+        """The base-4 pair-state code of :mod:`magmoves._kernels`, which
+        :func:`magmoves.enumeration.graph_from_pair_code` decodes."""
+        n = self.n
+        return sum(s << _pair_shift(n, i, j) for (i, j), s in self._pairs.items())
 
     def canonical_key(self) -> str:
         """Deterministic string form: node count, then sorted edge tokens."""

@@ -5,8 +5,10 @@ JSON is the interchange format:
     {"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B", "type": "directed"}]}
 
 DOT output renders directed edges as ``A -> B`` and bi-directed edges as
-``A -> B [dir=both]``.  A reader for exactly that DOT subset is included so
-emitted files round-trip.
+``A -> B [dir=both]``, with every label quoted: a backslash escapes a quote
+or a backslash, and ``\\uXXXX`` each character ``str.splitlines`` breaks
+at.  A reader for exactly that DOT subset is included so emitted files
+round-trip.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 import sys
 
 from .errors import InputError, ParseError
-from .graph import Edge, EdgeKind, MixedGraph, bidirected, directed, require_graph
+from .graph import EdgeKind, MixedGraph, _put_edge, require_graph
 
 __all__ = [
     "graph_from_json_dict",
@@ -31,6 +33,8 @@ __all__ = [
 
 
 def graph_from_json_dict(data: object) -> MixedGraph:
+    """The graph a decoded JSON document describes, each edge checked once
+    and written straight into the graph's rows."""
     if not isinstance(data, dict):
         raise ParseError("graph document must be a JSON object")
     unknown = set(data) - {"nodes", "edges"}
@@ -46,36 +50,30 @@ def graph_from_json_dict(data: object) -> MixedGraph:
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list")
-    edges: list[Edge] = []
-    seen_pairs = set()
+    n = len(nodes)
+    pairs: dict[tuple[int, int], int] = {}
+    pa, ch, sp = [0] * n, [0] * n, [0] * n
     for item in raw_edges:
-        if not isinstance(item, dict) or set(item) != {"u", "v", "type"}:
-            raise ParseError(
-                "each edge must be an object with fields 'u', 'v', 'type'"
-            )
-        for end in ("u", "v"):
-            if not isinstance(item[end], str) or item[end] not in index:
-                raise ParseError(
-                    f"edge endpoint {item[end]!r} is not a declared node"
-                )
-        u, v = index[item["u"]], index[item["v"]]
+        if not isinstance(item, dict) or item.keys() != {"u", "v", "type"}:
+            raise ParseError("each edge must be an object with fields 'u', 'v', 'type'")
+        a, b = item["u"], item["v"]
+        u = index.get(a) if isinstance(a, str) else None
+        v = index.get(b) if isinstance(b, str) else None
+        if u is None or v is None:
+            bad = a if u is None else b
+            raise ParseError(f"edge endpoint {bad!r} is not a declared node")
         if u == v:
-            raise ParseError(f"self-loop at node {item['u']!r}")
-        pair = (min(u, v), max(u, v))
-        if pair in seen_pairs:
+            raise ParseError(f"self-loop at node {a!r}")
+        i, j = (u, v) if u < v else (v, u)
+        if (i, j) in pairs:
             raise ParseError(
-                f"more than one edge between {nodes[pair[0]]!r} "
-                f"and {nodes[pair[1]]!r}"
+                f"more than one edge between {nodes[i]!r} and {nodes[j]!r}"
             )
-        seen_pairs.add(pair)
         kind = item["type"]
-        if kind == "directed":
-            edges.append(directed(u, v))
-        elif kind == "bidirected":
-            edges.append(bidirected(u, v))
-        else:
+        if kind != "directed" and kind != "bidirected":
             raise ParseError(f"unknown edge type {kind!r}")
-    return MixedGraph(len(nodes), edges, labels=nodes)
+        _put_edge(pairs, pa, ch, sp, u, v, kind == "bidirected")
+    return MixedGraph._trusted(n, tuple(nodes), pairs, pa, ch, sp, None)
 
 
 def parse_graph_json(text: str) -> MixedGraph:
@@ -92,17 +90,9 @@ def parse_graph_json(text: str) -> MixedGraph:
 
 def graph_to_json_dict(g: MixedGraph) -> dict:
     require_graph(g)
-    return {
-        "nodes": list(g.labels),
-        "edges": [
-            {
-                "u": g.labels[e.u],
-                "v": g.labels[e.v],
-                "type": e.kind.value,
-            }
-            for e in g.edges
-        ],
-    }
+    lbl = g.labels
+    edges = [{"u": lbl[e.u], "v": lbl[e.v], "type": e.kind.value} for e in g.edges]
+    return {"nodes": list(lbl), "edges": edges}
 
 
 def graph_to_json(g: MixedGraph, indent: int | str | None = 2) -> str:
@@ -111,8 +101,15 @@ def graph_to_json(g: MixedGraph, indent: int | str | None = 2) -> str:
     return json.dumps(graph_to_json_dict(g), indent=indent)
 
 
+# Escapes that keep a quoted label on its statement's line.
+_DOT_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"'}
+    | {c: f"\\u{ord(c):04x}" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
 def _dot_quote(label: str) -> str:
-    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + label.translate(_DOT_ESCAPES) + '"'
 
 
 def graph_to_dot(g: MixedGraph) -> str:
@@ -141,10 +138,15 @@ _DOT_EDGE = re.compile(
 )
 
 
+def _dot_unescape(match: re.Match) -> str:
+    code, char = match.groups()
+    return char if code is None else chr(int(code, 16))
+
+
 def _dot_unquote(match: re.Match, slot: int) -> str:
     quoted = match.group(f"q{slot}")
     if quoted is not None:
-        return re.sub(r"\\(.)", r"\1", quoted)
+        return re.sub(r"\\u([0-9a-fA-F]{4})|\\(.)", _dot_unescape, quoted)
     return match.group(f"p{slot}")
 
 
@@ -174,15 +176,24 @@ def parse_dot(text: str) -> MixedGraph:
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate node statement")
     index = {label: i for i, label in enumerate(labels)}
-    edges = []
-    try:
-        for u, v, both in edge_specs:
-            if u not in index or v not in index:
-                raise ParseError(f"edge references undeclared node {u!r} or {v!r}")
-            edges.append((bidirected if both else directed)(index[u], index[v]))
-        return MixedGraph(len(labels), edges, labels=labels)
-    except InputError as exc:
-        raise ParseError(str(exc)) from None
+    n = len(labels)
+    pairs: dict[tuple[int, int], int] = {}
+    pa, ch, sp = [0] * n, [0] * n, [0] * n
+    dup = None  # the first repeated pair, reported once every edge resolves
+    for u, v, both in edge_specs:
+        if u not in index or v not in index:
+            raise ParseError(f"edge references undeclared node {u!r} or {v!r}")
+        a, b = index[u], index[v]
+        if a == b:
+            raise ParseError(f"self-loop at node {a}")
+        pair = (a, b) if a < b else (b, a)
+        if pair not in pairs:
+            _put_edge(pairs, pa, ch, sp, a, b, both)
+        elif dup is None:
+            dup = pair
+    if dup is not None:
+        raise ParseError(f"more than one edge between nodes {dup[0]} and {dup[1]}")
+    return MixedGraph._trusted(n, tuple(labels), pairs, pa, ch, sp, None)
 
 
 def load_graph(path: str | os.PathLike) -> MixedGraph:

@@ -9,9 +9,9 @@ the ``is_*`` predicates only test it against None, and only the
 ``*_violation`` functions, which ``apply_move`` uses for its rejection
 message, turn it into text.  Applying a licensed move always yields a MAG
 again; ``apply_move`` re-validates the result anyway.  The closure walk
-validates each graph it has not reached before exactly once, and skips
-moves that lead back to a graph it already holds without building a
-``Mag``.
+knows graphs by their base-4 pair code: it validates each graph it has not
+reached before exactly once, and skips a move that leads back to a code it
+already holds without building a graph, a key or a ``Mag``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .equivalence import _discriminating_chain
 from .graph import (
     _BI,
     _FWD,
+    _REV,
+    _pair_shift,
     Edge,
     Mag,
     MixedGraph,
@@ -256,27 +258,34 @@ def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
 
     Stops once ``max_size`` graphs have been collected and flags the
     truncation.  Each move is one ``legal_moves`` entry, so its predicate is
-    not run again; a neighbour whose key the walk already holds is skipped,
-    and only a new one is validated as a ``Mag``.
+    not run again.  The walk knows graphs by pair code and patches the moved
+    pair's two bits for a neighbour's: a code it holds is skipped without
+    building a graph or a key, and only a new one is validated as a ``Mag``.
     """
     require_mags(m)
     if not isinstance(max_size, int) or isinstance(max_size, bool) or max_size < 1:
         raise InputError(f"max_size must be an integer >= 1, got {max_size!r}")
-    start = m.canonical_key()
-    graphs = {start: m}
-    queue = deque([m])
+    n = m.n
+    seen = {m.graph.pair_code: m}
+    queue = deque(seen.items())
     truncated = False
     while queue and not truncated:
-        cur = queue.popleft()
+        code, cur = queue.popleft()
+        g = cur.graph
         for mv in legal_moves(cur):
-            g = cur.graph.with_edge(_replacement(mv))
-            key = g.canonical_key()
-            if key in graphs:
+            x, y = mv.x, mv.y
+            i, j = (x, y) if x < y else (y, x)
+            if mv.kind is MoveKind.DIR_TO_BI:
+                state = _BI
+            else:  # the new tail is x for BI_TO_DIR, y for REVERSE
+                state = _FWD if (x < y) == (mv.kind is MoveKind.BI_TO_DIR) else _REV
+            nxt = code ^ ((g._pairs[i, j] ^ state) << _pair_shift(n, i, j))
+            if nxt in seen:
                 continue
-            if len(graphs) >= max_size:
+            if len(seen) >= max_size:
                 truncated = True
                 break
-            nxt = Mag(g)
-            graphs[key] = nxt
-            queue.append(nxt)
+            seen[nxt] = member = Mag(g.with_edge(_replacement(mv)))
+            queue.append((nxt, member))
+    graphs = {member.canonical_key(): member for member in seen.values()}
     return ClosureResult(frozenset(graphs), graphs, truncated)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -31,6 +32,28 @@ def test_code_round_trip():
     # pair order (0,1), (0,2), (1,2): states 1, 0, 3
     code = 1 | (3 << 4)
     assert graph_from_pair_code(3, code) == g
+
+
+def test_pair_code_inverts_the_decoder():
+    # every mixed graph with n <= 3, built through the Edge API, then
+    # sampled codes at n = 5-9
+    for n in (1, 2, 3):
+        pairs = _kernels.pair_list(n)
+        for states in itertools.product(range(4), repeat=len(pairs)):
+            marks = [
+                (None, directed(u, v), directed(v, u), bidirected(v, u))[s]
+                for (u, v), s in zip(pairs, states)
+            ]
+            g = MixedGraph(n, [e for e in marks if e is not None])
+            assert g.pair_code == sum(s << 2 * p for p, s in enumerate(states))
+            assert graph_from_pair_code(n, g.pair_code) == g
+    rng = random.Random(5)
+    for n in range(5, 10):
+        for _ in range(200):
+            code = rng.randrange(4 ** (n * (n - 1) // 2))
+            g = MixedGraph(n, graph_from_pair_code(n, code).edges)
+            assert g.pair_code == code
+            assert graph_from_pair_code(n, g.pair_code) == g
 
 
 def test_decoder_matches_validating_constructor():

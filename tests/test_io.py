@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from magmoves import (
     ParseError,
     bidirected,
     directed,
+    graph_from_pair_code,
     graph_to_dot,
     graph_to_json,
     graph_to_json_dict,
@@ -15,6 +18,10 @@ from magmoves import (
     parse_dot,
     parse_graph_json,
 )
+
+from magmoves.io import graph_from_json_dict
+
+from random_graphs import random_mag
 
 
 def test_json_round_trip(g_discpath):
@@ -38,22 +45,95 @@ def test_json_edgeless():
 
 
 def test_json_rejects_bad_documents():
+    # (document, the exact ParseError message)
     cases = [
-        "not json",
-        "[]",
-        '{"nodes": "A"}',
-        '{"nodes": ["A", "A"]}',
-        '{"nodes": ["A"], "edges": [{"u": "A", "v": "B", "type": "directed"}]}',
-        '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B", "type": "dashed"}]}',
-        '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "A", "type": "directed"}]}',
-        '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B"}]}',
-        '{"nodes": ["A", "B"], "extra": 1}',
-        '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B", "type": "directed"},'
-        ' {"u": "B", "v": "A", "type": "bidirected"}]}',
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "graph document must be a JSON object"),
+        ('{"nodes": "A"}', "'nodes' must be a list of strings"),
+        ('{"edges": []}', "'nodes' must be a list of strings"),
+        ('{"nodes": ["A", "A"]}', "duplicate node label 'A'"),
+        (
+            '{"nodes": ["A"], "edges": [{"u": "A", "v": "B", "type": "directed"}]}',
+            "edge endpoint 'B' is not a declared node",
+        ),
+        (
+            '{"nodes": ["A", "B"], "edges": [{"u": 0, "v": "B", "type": "directed"}]}',
+            "edge endpoint 0 is not a declared node",
+        ),
+        (
+            '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B", "type": "dashed"}]}',
+            "unknown edge type 'dashed'",
+        ),
+        (
+            '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "A",'
+            ' "type": "directed"}]}',
+            "self-loop at node 'A'",
+        ),
+        (
+            '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B"}]}',
+            "each edge must be an object with fields 'u', 'v', 'type'",
+        ),
+        (
+            '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B", "type": "directed",'
+            ' "w": 1}]}',
+            "each edge must be an object with fields 'u', 'v', 'type'",
+        ),
+        ('{"nodes": ["A", "B"], "extra": 1}', "unknown graph fields: ['extra']"),
+        (
+            '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B", "type": "directed"},'
+            ' {"u": "B", "v": "A", "type": "bidirected"}]}',
+            "more than one edge between 'A' and 'B'",
+        ),
+        (
+            '{"nodes": ["A", "B"], "edges": [{"u": "B", "v": "A",'
+            ' "type": "bidirected"}, {"u": "A", "v": "B", "type": "directed"}]}',
+            "more than one edge between 'A' and 'B'",
+        ),
     ]
-    for text in cases:
-        with pytest.raises(ParseError):
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
             parse_graph_json(text)
+        assert str(info.value) == message, text
+
+
+def _rows(g):
+    return (g.labels, g._pairs, g._pa, g._ch, g._sp, g._adj, g.canonical_key())
+
+
+def _reader_cases():
+    # every mixed graph with n <= 3, then seeded mixed graphs and MAGs at
+    # n = 8-60
+    for n in (1, 2, 3):
+        for code in range(4 ** (n * (n - 1) // 2)):
+            yield graph_from_pair_code(n, code, labels=[f"n{i}" for i in range(n)])
+    rng = random.Random(8)
+    for n in (8, 13, 21, 34, 60):
+        for _ in range(3):
+            pairs = rng.sample(list(itertools.combinations(range(n), 2)), 2 * n)
+            yield MixedGraph(
+                n,
+                [
+                    rng.choice((directed(a, b), directed(b, a), bidirected(b, a)))
+                    for a, b in pairs
+                ],
+                labels=[f"v{rng.random()}" for _ in range(n)],
+            )
+            yield random_mag(rng, n, 3)
+
+
+def test_readers_build_the_rows_the_edge_api_builds():
+    rng = random.Random(0)
+    for g in _reader_cases():
+        want = _rows(MixedGraph(g.n, g.edges, g.labels))
+        assert _rows(parse_graph_json(graph_to_json(g))) == want
+        assert _rows(parse_dot(graph_to_dot(g))) == want
+        # edges in any order, bi-directed ones written either way round
+        doc = graph_to_json_dict(g)
+        rng.shuffle(doc["edges"])
+        for e in doc["edges"]:
+            if e["type"] == "bidirected" and rng.random() < 0.5:
+                e["u"], e["v"] = e["v"], e["u"]
+        assert _rows(graph_from_json_dict(doc)) == want
 
 
 def test_dot_output(g_discpath):
@@ -83,6 +163,17 @@ def test_dot_quoting_round_trip():
     assert parse_dot(graph_to_dot(g)).labels == g.labels
 
 
+@pytest.mark.parametrize(
+    "brk", ["\n", "\r", "\r\n", "\x85", "\u2028", "\v", "\f", "\x1c", "\u2029"]
+)
+def test_dot_round_trips_line_breaks_in_labels(brk):
+    g = MixedGraph(2, [directed(1, 0)], labels=(f"A{brk}B", f"{brk}C\\n\\u2028"))
+    text = graph_to_dot(g)
+    assert len(text.splitlines()) == 5  # the header, two nodes, one edge, "}"
+    back = parse_dot(text)
+    assert back == g and back.labels == g.labels
+
+
 def test_dot_rejects_garbage():
     with pytest.raises(ParseError):
         parse_dot("graph { }")
@@ -94,6 +185,16 @@ def test_dot_rejects_garbage():
         parse_dot('digraph {\n  "A";\n')
     with pytest.raises(ParseError, match="self-loop"):
         parse_dot('digraph {\n  "A";\n  "A" -> "A";\n}')
+    # a repeated pair is reported only once every edge has resolved
+    head = 'digraph {\n  "A";\n  "B";\n  "A" -> "B";\n  "B" -> "A";\n'
+    for tail, message in (
+        ("}", "more than one edge between nodes 0 and 1"),
+        ('  "A" -> "A";\n}', "self-loop at node 0"),
+        ('  "A" -> "C";\n}', "edge references undeclared node 'A' or 'C'"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_dot(head + tail)
+        assert str(info.value) == message
 
 
 def test_load_graph_reads_str_and_pathlike_paths(tmp_path, g_discpath):

@@ -22,7 +22,7 @@ MAG_CODES = {
 }
 
 _label_text = st.text(
-    st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=8
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
 )
 
 

@@ -21,7 +21,7 @@ from magmoves import (
     markov_equivalent_bruteforce,
     partition_into_classes,
 )
-from magmoves.enumeration import enumerate_mags
+from magmoves.enumeration import enumerate_mags, graph_from_pair_code
 from magmoves.transform import (
     blanketed_bidirected_violation,
     blanketed_directed_violation,
@@ -29,7 +29,7 @@ from magmoves.transform import (
 )
 
 from oracles import closure_by_apply_move, legal_moves_by_violation
-from random_graphs import mark_change_walk, random_dag
+from random_graphs import mark_change_walk, random_dag, random_mag
 
 
 def test_blanketed_vacuous(g_edge):
@@ -283,3 +283,23 @@ def test_closure_matches_apply_move_walk_exhaustively(mags_by_n, max_size):
             assert res.keys == frozenset(graphs)
             assert res.truncated == truncated
             assert all(res.graphs[k] == g for k, g in graphs.items())
+
+
+@pytest.mark.parametrize("max_size", [1, 5, 30])
+def test_closure_matches_apply_move_walk_at_scale(max_size):
+    # Seeded n = 60 MAGs, whose pair codes run to thousands of bits; the
+    # three-edge seeds have classes of 27 and 4 members.
+    rng = random.Random(60)
+    cut = 0
+    for degree in (0.1, 0.1, 1, 2, 3, 4):
+        m = Mag(random_mag(rng, 60, degree))
+        res = equivalence_class_closure(m, max_size=max_size)
+        graphs, truncated = closure_by_apply_move(m, max_size)
+        assert list(res.graphs) == list(graphs)
+        assert res.keys == frozenset(graphs)
+        assert res.truncated == truncated
+        assert all(res.graphs[k] == g for k, g in graphs.items())
+        for member in res.graphs.values():
+            assert graph_from_pair_code(60, member.graph.pair_code) == member.graph
+        cut += truncated
+    assert cut == {1: 6, 5: 5, 30: 4}[max_size]  # cut and whole walks both seen

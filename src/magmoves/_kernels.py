@@ -1,14 +1,23 @@
-"""Exhaustive MAG enumeration kernel.
+"""Vectorised kernels over blocks of graphs.
 
 Every node pair takes one of four states (absent, either direction, or
 bi-directed), so a graph on n nodes is a base-4 code over n(n-1)/2 pairs:
 state ``s`` of pair ``p`` sits in bits ``2p, 2p+1``, with 1 for ``u -> v``,
 2 for ``v -> u`` and 3 for ``u <-> v`` on the pair ``(u, v)``, ``u < v``.
 
-The scan runs the same bitmask test as :func:`magmoves.graph.is_mag`,
-vectorised over blocks of codes: one uint8 row array per node for its
-parents, children and spouses, a Warshall closure for ancestors, then a
-bi-directed reachability sweep for each non-adjacent pair.
+Both kernels hold a block of graphs as one unsigned row array per node for
+its parents, children and spouses (bit ``w`` of entry ``g`` set when node
+``w`` is one in graph ``g``), and close the parent rows into ancestor rows
+by Warshall's algorithm.
+
+* The enumeration scan runs the same bitmask test as
+  :func:`magmoves.graph.is_mag` over blocks of codes: no proper ancestor
+  of a node is also its child or spouse, and a bi-directed reachability
+  sweep finds no inducing path between a non-adjacent pair.
+* The signature kernel runs the m-connection sweep of
+  :func:`magmoves.separation.separation_signature` for every query
+  ``(x, y, Z)`` at once over the block, and packs the verdicts into bytes
+  in that function's bit order.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ __all__ = [
     "USING_NUMBA",
     "enumerate_mag_codes",
     "pair_list",
+    "signature_block",
 ]
 
 # There is no compiled backend; the constant stays for callers that report
@@ -41,6 +51,16 @@ def _spread(rows: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ancestor_rows(pa: list[np.ndarray]) -> list[np.ndarray]:
+    # Warshall closure of the parent rows: bit k of an[x] is set when k is
+    # an ancestor of x, x itself included.
+    an = [row | row.dtype.type(1 << x) for x, row in enumerate(pa)]
+    for k in range(len(an)):
+        for x in range(len(an)):
+            an[x] |= an[k] & -((an[x] >> k) & 1)
+    return an
+
+
 def _is_mag_block(n: int, codes: np.ndarray) -> np.ndarray:
     zero = np.zeros(codes.shape[0], np.uint8)
     pa = [zero.copy() for _ in range(n)]
@@ -59,10 +79,7 @@ def _is_mag_block(n: int, codes: np.ndarray) -> np.ndarray:
         sp[u] |= bi & (1 << v)
         sp[v] |= bi & (1 << u)
         adjacent[u, v] = s != 0
-    an = [pa[x] | (1 << x) for x in range(n)]
-    for k in range(n):
-        for x in range(n):
-            an[x] |= an[k] & -((an[x] >> k) & 1)
+    an = _ancestor_rows(pa)
     ok = np.ones(codes.shape[0], bool)
     for x in range(n):
         # a proper ancestor that is also a child (cycle) or a spouse
@@ -75,6 +92,57 @@ def _is_mag_block(n: int, codes: np.ndarray) -> np.ndarray:
             reach |= _spread(sp, reach) & allowed
         ok &= adj | ((reach & head[y]) == 0)
     return ok
+
+
+def signature_block(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """Separation signatures of a block of graphs.
+
+    ``pa``, ``ch`` and ``sp`` have shape (n, graphs) and an unsigned dtype
+    of at least n bits; entry ``[w, g]`` is the parent, child or spouse
+    mask of node ``w`` in graph ``g``.  Returns one row of bytes per graph
+    (at least one) with bit ``pos`` of
+    :func:`magmoves.separation.separation_signature` in bit ``pos % 8`` of
+    byte ``pos // 8``.
+    """
+    n, count = pa.shape
+    an = _ancestor_rows(list(pa))
+    queries = len(pair_list(n)) << max(n - 2, 0)
+    out = np.zeros((max(1, (queries + 7) // 8), count), np.uint8)
+    zero = np.zeros(count, pa.dtype)
+    pos = 0
+    for x, y in pair_list(n):
+        rest = [v for v in range(n) if v not in (x, y)]
+        for k in range(1 << (n - 2)):
+            given = [v for i, v in enumerate(rest) if (k >> i) & 1]
+            outside = ~pa.dtype.type(sum(1 << z for z in given))
+            anz = zero
+            for z in given:
+                anz = anz | an[z]
+            # The sweep of separation._m_connected_masks over the states
+            # (w, arrived with an arrowhead).  A collider (an arrowhead at
+            # w, an ancestor of Z) and a tail at w outside Z leave w along
+            # an edge with an arrowhead at w: to a spouse, arriving with an
+            # arrowhead, or to a parent, arriving with a tail.  A node
+            # outside Z is left along an edge with a tail at w: to a child.
+            head, tail = ch[x] | sp[x], pa[x]
+            seen_head, seen_tail = head, tail
+            while head.any() or tail.any():
+                by_head = (head & anz) | (tail & outside)
+                by_tail = (head | tail) & outside
+                new_head = new_tail = zero
+                for w in range(n):
+                    h = -((by_head >> w) & 1)
+                    t = -((by_tail >> w) & 1)
+                    new_head = new_head | (sp[w] & h) | (ch[w] & t)
+                    new_tail = new_tail | (pa[w] & h)
+                head = new_head & ~seen_head
+                tail = new_tail & ~seen_tail
+                seen_head = seen_head | head
+                seen_tail = seen_tail | tail
+            hit = ((seen_head | seen_tail) >> y) & 1
+            out[pos >> 3] |= hit.astype(np.uint8) << (pos & 7)
+            pos += 1
+    return out.T
 
 
 def enumerate_mag_codes(n: int) -> np.ndarray:

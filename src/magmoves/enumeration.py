@@ -23,9 +23,6 @@ from .graph import (
     _check_labels,
     _pair_shift,
     _token,
-    bidirected,
-    directed,
-    is_mag,
     iter_bits,
     require_mags,
 )
@@ -34,9 +31,7 @@ from .equivalence import (
     _head_rows,
     _local_key,
     _triple_masks,
-    markov_equivalent_bruteforce,
 )
-from .separation import separation_signature
 from .transform import (
     MoveKind,
     _failure,
@@ -182,12 +177,28 @@ class ClassPartition:
         return len(self.classes)
 
 
+def _signature_ids(graphs: list[MixedGraph]) -> list[int]:
+    # One id per graph, equal exactly when the separation signatures are:
+    # the signature kernel over the graphs' node rows, its packed bits
+    # compared as one opaque value per graph.
+    n = graphs[0].n if graphs else 0
+    dtype = np.min_scalar_type((1 << n) - 1)  # uint8 up to 8 nodes
+    rows = [
+        np.array([getattr(g, name) for g in graphs], dtype)
+        .reshape(len(graphs), n)
+        .T.copy()
+        for name in ("_pa", "_ch", "_sp")
+    ]
+    bits = np.ascontiguousarray(_kernels.signature_block(*rows))
+    packed = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    return np.unique(packed, return_inverse=True)[1].tolist()
+
+
 def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
     """Group MAGs by separation signature (definitional equivalence)."""
     if not isinstance(mags, Iterable):
         raise InputError(f"expected an iterable of Mags, got {mags!r}")
     by_key: dict[str, Mag] = {}
-    groups: dict[int, list[str]] = {}
     n = None
     labels = None
     for m in mags:
@@ -200,7 +211,10 @@ def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
         if key in by_key:
             raise InputError(f"duplicate graph {key}")
         by_key[key] = m
-        groups.setdefault(separation_signature(m.graph), []).append(key)
+    groups: dict[int, list[str]] = {}
+    ids = _signature_ids([m.graph for m in by_key.values()])
+    for key, sid in zip(by_key, ids):
+        groups.setdefault(sid, []).append(key)
     classes = tuple(
         tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g))
     )
@@ -370,8 +384,12 @@ def test_conjecture1(n: int) -> ConjectureReport:
     )
 
 
-def _mag_or_none(g: MixedGraph) -> Mag | None:
-    return Mag._trusted(g) if is_mag(g) else None
+def _class_by_code(part: ClassPartition) -> dict[int, tuple[int, Mag]]:
+    # Pair code -> (class id, Mag) over the partitioned MAGs.
+    return {
+        m.graph.pair_code: (part.class_of[k], m)
+        for k, m in part.graphs_by_key.items()
+    }
 
 
 def _bucket_verdicts(graphs: list[MixedGraph]) -> Iterator[np.ndarray]:
@@ -445,20 +463,32 @@ def verify_theorems(n: int) -> EquivalenceReport:
     the one the search alone would give.
     """
     part = partition_into_classes(enumerate_mags(n))
-    known = part.graphs_by_key
+    checks = _move_checks(n, part)
+    checks["thm2_vs_oracle"] = CheckOutcome(
+        len(part.class_of) ** 2, tuple(_oracle_violations(part))
+    )
+    return EquivalenceReport(
+        n=n, mag_count=len(part.class_of), class_count=part.class_count, checks=checks
+    )
 
-    def equivalent(m: Mag, m2: Mag) -> bool:
-        # The oracle on m2's copy in the enumeration, whose signature is
-        # cached; only a graph missing there gets a signature computed.
-        return markov_equivalent_bruteforce(m, known.get(m2.canonical_key(), m2))
+
+def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
+    # The per-MAG checks of verify_theorems.  Every MAG on n nodes is in the
+    # enumeration, so a code missing from ``by_code`` is not a MAG and gets
+    # no class.  The dict is freed before the pair check, which sets the
+    # peak memory of the sweep.
+    known = part.graphs_by_key
+    by_code = _class_by_code(part)
+    no_mag = (None, None)
 
     names = ("thm3_sound", "thm3_necessary", "thm4_iff", "lemma1", "lemma2")
     cases = dict.fromkeys(names, 0)
     viol: dict[str, list[str]] = {name: [] for name in names}
     for key, m in known.items():
+        code = m.graph.pair_code
+        cid = part.class_of[key]
         blanketed = set()  # (x, y): the edge is blanketed (against x)
         screened = set()
-        flipped = {}  # (u, v) -> the MAG with u -> v made bi-directed
         for mv in legal_moves(m):
             if mv.kind is MoveKind.REVERSE:
                 screened.add((mv.x, mv.y))
@@ -470,9 +500,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
             except InputError as exc:
                 viol["thm3_sound"].append(f"{key} {mv}: {exc}")
                 continue
-            if mv.kind is MoveKind.DIR_TO_BI:
-                flipped[mv.x, mv.y] = m2
-            if not equivalent(m, m2):
+            if by_code.get(m2.graph.pair_code, no_mag)[0] != cid:
                 viol["thm3_sound"].append(
                     f"{key} {mv} -> {m2.canonical_key()}: not equivalent"
                 )
@@ -492,11 +520,11 @@ def verify_theorems(n: int) -> EquivalenceReport:
                 continue
             edge_blanketed = (u, v) in blanketed
             edge_screened = (u, v) in screened
+            shift = _pair_shift(n, min(u, v), max(u, v))
 
-            m2 = flipped.get((u, v))
-            if m2 is None:
-                m2 = _mag_or_none(m.graph.with_edge(bidirected(u, v)))
-            if m2 is not None and equivalent(m, m2):
+            # u <-> v sets both bits of the pair; v -> u swaps 1 and 2
+            cid2, m2 = by_code.get(code | 3 << shift, no_mag)
+            if cid2 == cid:
                 cases["thm3_necessary"] += 1
                 if not edge_blanketed:
                     viol["thm3_necessary"].append(
@@ -509,8 +537,7 @@ def verify_theorems(n: int) -> EquivalenceReport:
                     )
 
             cases["thm4_iff"] += 1
-            m2 = _mag_or_none(m.graph.with_edge(directed(v, u)))
-            same = m2 is not None and equivalent(m, m2)
+            same = by_code.get(code ^ 3 << shift, no_mag)[0] == cid
             if same != edge_screened:
                 viol["thm4_iff"].append(
                     f"{key}: reversal of {e.token()} "
@@ -524,10 +551,4 @@ def verify_theorems(n: int) -> EquivalenceReport:
                         f"{key}: {e.token()} screened but not blanketed"
                     )
 
-    cases["thm2_vs_oracle"] = len(known) ** 2
-    viol["thm2_vs_oracle"] = _oracle_violations(part)
-
-    checks = {k: CheckOutcome(cases[k], tuple(viol[k])) for k in cases}
-    return EquivalenceReport(
-        n=n, mag_count=len(known), class_count=part.class_count, checks=checks
-    )
+    return {k: CheckOutcome(cases[k], tuple(viol[k])) for k in names}

@@ -68,8 +68,8 @@ def _local_key(g: MixedGraph):
 
 
 def _collider_at(g: MixedGraph, seq: tuple[int, ...], i: int) -> bool:
-    w = seq[i]
-    return g.arrowhead_toward(seq[i - 1], w) and g.arrowhead_toward(seq[i + 1], w)
+    into = g._pa[seq[i]] | g._sp[seq[i]]  # neighbours whose edge points in
+    return (into >> seq[i - 1]) & (into >> seq[i + 1]) & 1 == 1
 
 
 def _discriminates_forward(g: MixedGraph, seq: tuple[int, ...]) -> bool:

@@ -125,10 +125,8 @@ def _path_m_connects(
 ) -> bool:
     for i in range(1, len(path) - 1):
         w = path[i]
-        collider = g.arrowhead_toward(path[i - 1], w) and g.arrowhead_toward(
-            path[i + 1], w
-        )
-        if collider:
+        into = g._pa[w] | g._sp[w]  # neighbours whose edge points into w
+        if (into >> path[i - 1]) & (into >> path[i + 1]) & 1:
             if not (anz >> w) & 1:
                 return False
         elif (zmask >> w) & 1:

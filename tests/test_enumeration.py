@@ -18,6 +18,7 @@ from magmoves import (
     is_mag,
     markov_equivalent,
     partition_into_classes,
+    separation_signature,
     unshielded_colliders,
 )
 from magmoves import _kernels, enumeration, transform
@@ -164,6 +165,38 @@ def test_partition_single_node(mags_by_n):
 def test_partition_counts(mags_by_n):
     assert partition_into_classes(mags_by_n[3]).class_count == 11
     assert partition_into_classes(mags_by_n[4]).class_count == 248
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partition_matches_grouping_by_separation_signature(n, mags_by_n):
+    groups = {}
+    for m in mags_by_n[n]:
+        groups.setdefault(separation_signature(m.graph), set()).add(
+            m.canonical_key()
+        )
+    part = partition_into_classes(mags_by_n[n])
+    assert sorted(map(set, part.classes), key=min) == sorted(
+        groups.values(), key=min
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_code_lookup_membership_equals_is_mag(n, mags_by_n):
+    # the code -> class dict stands in for is_mag after a mark change only
+    # because the enumeration holds every MAG
+    by_code = enumeration._class_by_code(partition_into_classes(mags_by_n[n]))
+    assert len(by_code) == len(mags_by_n[n])
+    changed = 0
+    for m in mags_by_n[n]:
+        code = m.graph.pair_code
+        for p in range(len(_kernels.pair_list(n))):
+            for s in range(4):
+                new = code & ~(3 << 2 * p) | s << 2 * p
+                if new == code:
+                    continue
+                changed += 1
+                assert (new in by_code) == is_mag(graph_from_pair_code(n, new))
+    assert changed == len(mags_by_n[n]) * 3 * len(_kernels.pair_list(n))
 
 
 def test_partition_members_share_skeleton_and_colliders(mags_by_n):
@@ -347,8 +380,15 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
                 for a in graphs
             ),
         )
-    signature = signature or enumeration.separation_signature
-    monkeypatch.setattr(enumeration, "separation_signature", signature)
+    if signature is None:
+        signature = separation_signature
+    else:
+        # the partition groups by the ids of this one seam
+        monkeypatch.setattr(
+            enumeration,
+            "_signature_ids",
+            lambda graphs: [signature(g) for g in graphs],
+        )
     want = _full_pair_loop(mags_by_n[3], equivalent, signature)
     got = enumeration.verify_theorems(3).checks["thm2_vs_oracle"]
     assert want

@@ -34,7 +34,6 @@ def test_dispatcher_matches_active_backend():
     assert np.array_equal(got, _kernels.enumerate_mag_codes(3))
 
 
-
 def _kernel_signatures(graphs, dtype):
     # signature_block on the graphs' node rows, each row of bytes read back
     # as the integer separation_signature packs

@@ -63,7 +63,7 @@ PRACTICAL_MAX_N = 5
 @functools.lru_cache(maxsize=None)
 def _code_table(n: int) -> tuple[tuple[str, ...], tuple]:
     # Everything decoding needs at one node count: the default labels, and
-    # per pair position the (pair, token, tail, tail bit, head, head bit) of
+    # per pair position the (token, tail, tail bit, head, head bit) of
     # states 1..3 (bi-directed edges run tail u to head v too).
     rows = []
     for u, v in _kernels.pair_list(n):
@@ -71,9 +71,9 @@ def _code_table(n: int) -> tuple[tuple[str, ...], tuple]:
         rows.append(
             (
                 None,
-                ((u, v), _token(su, sv, False), u, bu, v, bv),
-                ((u, v), _token(sv, su, False), v, bv, u, bu),
-                ((u, v), _token(su, sv, True), u, bu, v, bv),
+                (_token(su, sv, False), u, bu, v, bv),
+                (_token(sv, su, False), v, bv, u, bu),
+                (_token(su, sv, True), u, bu, v, bv),
             )
         )
     return tuple(f"V{i}" for i in range(n)), tuple(rows)
@@ -90,18 +90,14 @@ def graph_from_pair_code(
             raise InputError(f"pair code must be an integer, got {code!r}")
         code = int(code)
     default, rows = _code_table(n)
-    pairs = {}
-    pa = [0] * n
-    ch = [0] * n
-    sp = [0] * n
+    pa, ch, sp = [0] * n, [0] * n, [0] * n
     toks = [str(n)]
     rest = code
     for row in rows:
         s = rest & 3
         rest >>= 2
         if s:
-            pair, tok, a, abit, b, bbit = row[s]
-            pairs[pair] = s  # the graph's pair marks are these pair states
+            tok, a, abit, b, bbit = row[s]
             toks.append(tok)
             if s == 3:
                 sp[a] |= bbit
@@ -112,15 +108,8 @@ def graph_from_pair_code(
     if rest:  # bits above the last pair, or a negative code
         raise InputError(f"pair code {code} is out of range for {n} nodes")
     toks[1:] = sorted(toks[1:])
-    return MixedGraph._trusted(
-        n,
-        default if labels is None else _check_labels(n, labels),
-        pairs,
-        pa,
-        ch,
-        sp,
-        ";".join(toks),
-    )
+    labels = default if labels is None else _check_labels(n, labels)
+    return MixedGraph._trusted(n, labels, pa, ch, sp, ";".join(toks))
 
 
 def _canonical_order(n: int, codes: np.ndarray) -> np.ndarray:
@@ -130,9 +119,9 @@ def _canonical_order(n: int, codes: np.ndarray) -> np.ndarray:
     # token ranks, shifted up by one and padded with 0 at the end.  A uint8
     # rank, with 255 for an absent edge, fits the 30 tokens of n = 5.
     rows = _code_table(n)[1]
-    order = sorted(st[1] for row in rows for st in row[1:])
+    order = sorted(st[0] for row in rows for st in row[1:])
     ranks = np.array(
-        [[255] + [order.index(st[1]) for st in row[1:]] for row in rows],
+        [[255] + [order.index(st[0]) for st in row[1:]] for row in rows],
         np.uint8,
     ).reshape(-1, 4)
     m = ranks.shape[0]
@@ -385,7 +374,8 @@ def test_conjecture1(n: int) -> ConjectureReport:
 
 
 def _class_by_code(part: ClassPartition) -> dict[int, tuple[int, Mag]]:
-    # Pair code -> (class id, Mag) over the partitioned MAGs.
+    # Pair code -> (class id, Mag) over the partitioned MAGs, in the order
+    # of ``part.graphs_by_key``.
     return {
         m.graph.pair_code: (part.class_of[k], m)
         for k, m in part.graphs_by_key.items()
@@ -477,16 +467,14 @@ def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
     # enumeration, so a code missing from ``by_code`` is not a MAG and gets
     # no class.  The dict is freed before the pair check, which sets the
     # peak memory of the sweep.
-    known = part.graphs_by_key
     by_code = _class_by_code(part)
     no_mag = (None, None)
 
     names = ("thm3_sound", "thm3_necessary", "thm4_iff", "lemma1", "lemma2")
     cases = dict.fromkeys(names, 0)
     viol: dict[str, list[str]] = {name: [] for name in names}
-    for key, m in known.items():
-        code = m.graph.pair_code
-        cid = part.class_of[key]
+    for code, (cid, m) in by_code.items():
+        key = m.canonical_key()
         blanketed = set()  # (x, y): the edge is blanketed (against x)
         screened = set()
         for mv in legal_moves(m):

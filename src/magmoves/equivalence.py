@@ -63,8 +63,9 @@ def unshielded_colliders(g: MixedGraph) -> frozenset[tuple[int, int, int]]:
 
 
 def _local_key(g: MixedGraph):
-    # Adjacencies and unshielded colliders: equivalent MAGs share both.
-    return g.skeleton(), unshielded_colliders(g)
+    # Adjacency rows, which stand for the skeleton without a tuple per
+    # edge, and unshielded colliders: equivalent MAGs share both.
+    return tuple(g._adj), unshielded_colliders(g)
 
 
 def _collider_at(g: MixedGraph, seq: tuple[int, ...], i: int) -> bool:

@@ -5,8 +5,10 @@ integer ids ``0..n-1`` with optional string labels.  On top of the raw
 representation this module provides the ancestral / maximal / MAG validity
 checks and the inducing-path test they rest on.
 
-Adjacency is stored as per-node integer bitmasks, which keeps the desk-scale
-sweeps used elsewhere in the package cheap without any compiled code.
+A graph is stored only as per-node integer bitmask rows of parents,
+children and spouses; the edge list, canonical key and pair code are read
+off them.  This keeps the desk-scale sweeps used elsewhere in the package
+cheap without any compiled code.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ __all__ = [
     "format_path",
 ]
 
-# Pair-mark codes for the internal dict keyed by (i, j) with i < j; they
-# equal the pair states of enumeration codes (see magmoves._kernels).
+# The mark of an adjacent pair (i, j), i < j, as MixedGraph._marks reads it
+# off the rows; these equal the pair states of enumeration codes (see
+# magmoves._kernels).
 _FWD = 1  # i -> j
 _REV = 2  # j -> i
 _BI = 3  # i <-> j
@@ -77,14 +80,9 @@ class Edge:
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
-    def token(self, labels: tuple[str, ...] | None = None) -> str:
-        """Canonical token, ``u>v`` or ``u<>v`` (ids or labels)."""
-        a, b = self.u, self.v
-        if labels is None:
-            u, v = str(a), str(b)
-        else:
-            u, v = labels[a], labels[b]
-        return _token(u, v, self.kind is EdgeKind.BIDIRECTED)
+    def token(self) -> str:
+        """Canonical token over node ids, ``u>v`` or ``u<>v``."""
+        return _token(str(self.u), str(self.v), self.kind is EdgeKind.BIDIRECTED)
 
 
 def _token(u: str, v: str, bi: bool) -> str:
@@ -99,23 +97,14 @@ def _pair_shift(n: int, i: int, j: int) -> int:
 
 
 def _put_edge(
-    pairs: dict[tuple[int, int], int],
-    pa: list[int],
-    ch: list[int],
-    sp: list[int],
-    u: int,
-    v: int,
-    bi: bool,
+    pa: list[int], ch: list[int], sp: list[int], u: int, v: int, bi: bool
 ) -> None:
-    # Record ``u -> v``, or ``u <-> v`` when ``bi``, in the pair marks and
-    # the pa/ch/sp rows; the rows must hold no edge on the pair.
-    key = (u, v) if u < v else (v, u)
+    # Record ``u -> v``, or ``u <-> v`` when ``bi``, in the pa/ch/sp rows;
+    # the rows must hold no edge on the pair.
     if bi:
-        pairs[key] = _BI
         sp[u] |= 1 << v
         sp[v] |= 1 << u
     else:
-        pairs[key] = _FWD if u < v else _REV
         ch[u] |= 1 << v
         pa[v] |= 1 << u
 
@@ -172,7 +161,6 @@ class MixedGraph:
     __slots__ = (
         "n",
         "labels",
-        "_pairs",
         "_pa",
         "_ch",
         "_sp",
@@ -195,10 +183,7 @@ class MixedGraph:
             raise InputError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise InputError(f"node count must be non-negative, got {n}")
-        pairs: dict[tuple[int, int], int] = {}
-        pa = [0] * n
-        ch = [0] * n
-        sp = [0] * n
+        pa, ch, sp = [0] * n, [0] * n, [0] * n
         if not isinstance(edges, Iterable):
             raise InputError(f"edges must be an iterable, got {edges!r}")
         for e in edges:
@@ -207,35 +192,32 @@ class MixedGraph:
             u, v = e.u, e.v
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) references an unknown node")
-            key = e.pair
-            if key in pairs:
-                raise InputError(
-                    f"more than one edge between nodes {key[0]} and {key[1]}"
-                )
-            _put_edge(pairs, pa, ch, sp, u, v, e.kind is EdgeKind.BIDIRECTED)
-        self._adopt(n, _check_labels(n, labels), pairs, pa, ch, sp, None)
+            if (pa[u] | ch[u] | sp[u]) >> v & 1:
+                i, j = e.pair
+                raise InputError(f"more than one edge between nodes {i} and {j}")
+            _put_edge(pa, ch, sp, u, v, e.kind is EdgeKind.BIDIRECTED)
+        self._adopt(n, _check_labels(n, labels), pa, ch, sp, None)
 
     @classmethod
     def _trusted(
         cls,
         n: int,
         labels: tuple[str, ...],
-        pairs: dict[tuple[int, int], int],
         pa: list[int],
         ch: list[int],
         sp: list[int],
         key: str | None,
     ) -> "MixedGraph":
-        # For callers that built consistent rows themselves: no checks, and
-        # ``key`` (when given) must be the graph's canonical key.
+        # For callers that built the rows themselves, unchecked: ``pa`` and
+        # ``ch`` mirror each other, ``sp`` is symmetric, no pair is in two
+        # rows, and ``key`` (when given) is the graph's canonical key.
         g = object.__new__(cls)
-        g._adopt(n, labels, pairs, pa, ch, sp, key)
+        g._adopt(n, labels, pa, ch, sp, key)
         return g
 
-    def _adopt(self, n, labels, pairs, pa, ch, sp, key) -> None:
+    def _adopt(self, n, labels, pa, ch, sp, key) -> None:
         self.n = n
         self.labels = labels
-        self._pairs = pairs
         self._pa = pa
         self._ch = ch
         self._sp = sp
@@ -249,9 +231,22 @@ class MixedGraph:
 
     # -- basic queries ----------------------------------------------------
 
+    def _marks(self) -> Iterator[tuple[int, int, int]]:
+        # (i, j, mark) for every adjacent pair i < j, in ascending order.
+        ch, sp = self._ch, self._sp
+        for i, row in enumerate(self._adj):
+            row &= ~((2 << i) - 1)
+            while row:
+                low = row & -row
+                row ^= low
+                if sp[i] & low:
+                    yield i, low.bit_length() - 1, _BI
+                else:
+                    yield i, low.bit_length() - 1, _FWD if ch[i] & low else _REV
+
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(_pair_edge(i, j, s) for (i, j), s in sorted(self._pairs.items()))
+        return tuple(_pair_edge(i, j, mark) for i, j, mark in self._marks())
 
     def check_node(self, x: int) -> None:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.n:
@@ -271,9 +266,13 @@ class MixedGraph:
     def edge_between(self, u: int, v: int) -> Edge | None:
         self.check_node(u)
         self.check_node(v)
-        key = (u, v) if u < v else (v, u)
-        mark = self._pairs.get(key)
-        return None if mark is None else _pair_edge(*key, mark)
+        if (self._sp[u] >> v) & 1:
+            return bidirected(u, v)
+        if (self._ch[u] >> v) & 1:
+            return directed(u, v)
+        if (self._pa[u] >> v) & 1:
+            return directed(v, u)
+        return None
 
     def is_parent(self, u: int, v: int) -> bool:
         """True iff the edge ``u -> v`` is present."""
@@ -352,7 +351,7 @@ class MixedGraph:
     def skeleton(self) -> frozenset[tuple[int, int]]:
         """Adjacent pairs ``(i, j)`` with ``i < j``, ignoring marks."""
         if self._skel is None:
-            self._skel = frozenset(self._pairs)
+            self._skel = frozenset((i, j) for i, j, _ in self._marks())
         return self._skel
 
     def with_edge(self, edge: Edge) -> "MixedGraph":
@@ -363,21 +362,20 @@ class MixedGraph:
         u, v = edge.u, edge.v
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise InputError(f"edge ({u}, {v}) references an unknown node")
-        pairs = dict(self._pairs)
         pa, ch, sp = list(self._pa), list(self._ch), list(self._sp)
         keep_u, keep_v = ~(1 << v), ~(1 << u)
         for rows in (pa, ch, sp):
             rows[u] &= keep_u
             rows[v] &= keep_v
-        _put_edge(pairs, pa, ch, sp, u, v, edge.kind is EdgeKind.BIDIRECTED)
-        return MixedGraph._trusted(self.n, self.labels, pairs, pa, ch, sp, None)
+        _put_edge(pa, ch, sp, u, v, edge.kind is EdgeKind.BIDIRECTED)
+        return MixedGraph._trusted(self.n, self.labels, pa, ch, sp, None)
 
     @property
     def pair_code(self) -> int:
         """The base-4 pair-state code of :mod:`magmoves._kernels`, which
         :func:`magmoves.enumeration.graph_from_pair_code` decodes."""
         n = self.n
-        return sum(s << _pair_shift(n, i, j) for (i, j), s in self._pairs.items())
+        return sum(mark << _pair_shift(n, i, j) for i, j, mark in self._marks())
 
     def canonical_key(self) -> str:
         """Deterministic string form: node count, then sorted edge tokens."""
@@ -386,7 +384,7 @@ class MixedGraph:
                 _token(str(j), str(i), False)
                 if mark == _REV
                 else _token(str(i), str(j), mark == _BI)
-                for (i, j), mark in self._pairs.items()
+                for i, j, mark in self._marks()
             )
             self._key = ";".join([str(self.n)] + toks)
         return self._key
@@ -394,11 +392,11 @@ class MixedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedGraph):
             return NotImplemented
-        return self.n == other.n and self._pairs == other._pairs
+        return self.n == other.n and self._pa == other._pa and self._sp == other._sp
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, tuple(sorted(self._pairs.items()))))
+            self._hash = hash((self.n, self.pair_code))
         return self._hash
 
     def __repr__(self) -> str:
@@ -626,68 +624,36 @@ def maximality_witness(
     """The first non-adjacent pair ``(x, y)``, ``x < y`` in ascending order,
     joined by an inducing path, with the path, or None.
 
-    Defined on any mixed graph.  Only pairs that could be joined are
-    searched, tried in the same ascending order and with the same search as
-    the all-pairs scan, which therefore returns the same pair and path.
+    Only defined on ancestral graphs; raises :class:`PreconditionError` on
+    any other.  Only pairs that could be joined are searched, tried in the
+    same ascending order and with the same search as the all-pairs scan,
+    which therefore returns the same pair and path.
 
     Let ``<x, w1, ..., wk, y>`` be an inducing path.  Every internal node
     is a collider on it, so consecutive internal nodes are spouses and the
     interior lies in one district (bi-directed component); ``w1`` is a
-    child or spouse of ``x`` and ``y`` is a parent or spouse of ``wk``.  On
-    any graph, then, the candidates for each ``x`` are the ``y`` that are
-    parents or spouses of a node in the spouse-closure of the children and
-    spouses of ``x``.
-
-    An ancestral graph narrows this further.  Since ``x -> w1`` or
-    ``x <-> w1``, ``w1`` is not an ancestor of ``x``: the first would close
-    a directed cycle, the second would put a directed path between the ends
-    of a bi-directed edge.  Being an ancestor of ``x`` or ``y``, ``w1`` is
-    in ``An(y)``.  By the same argument ``wk`` is in ``An(x)`` and not in
-    ``An(y)``, so ``wk != w1``, ``k >= 2``, and both have a spouse.  So the
-    only ``y`` worth a search are those above ``x`` and not adjacent to it
-    that are a parent or spouse of some ``w != x`` in ``An(x)``, where
-    ``w`` lies in the district of a node of ``ch(x) | sp(x)`` that has a
-    spouse, and where some node of ``ch(x) | sp(x)`` in ``An(y)`` has a
-    spouse.  On a graph that is not ancestral ``w1`` may be an ancestor of
-    ``x``, so only the wider search is exact there.
+    child or spouse of ``x`` and ``y`` is a parent or spouse of ``wk``.
+    Since ``x -> w1`` or ``x <-> w1``, ``w1`` is not an ancestor of ``x``:
+    the first would close a directed cycle, the second would put a directed
+    path between the ends of a bi-directed edge.  Being an ancestor of
+    ``x`` or ``y``, ``w1`` is in ``An(y)``.  By the same argument ``wk`` is
+    in ``An(x)`` and not in ``An(y)``, so ``wk != w1``, ``k >= 2``, and both
+    have a spouse.  So the only ``y`` worth a search are those above ``x``
+    and not adjacent to it that are a parent or spouse of some ``w != x``
+    in ``An(x)``, where ``w`` lies in the district of a node of
+    ``ch(x) | sp(x)`` that has a spouse, and where some node of
+    ``ch(x) | sp(x)`` in ``An(y)`` has a spouse.
     """
-    require_graph(g)
-    if is_ancestral(g):
-        return _ancestral_maximality_witness(g)
-    adj, pa, ch, sp = g._adj, g._pa, g._ch, g._sp
-    full = (1 << g.n) - 1
-    for x in range(g.n):
-        partners = full & ~adj[x] & ~((2 << x) - 1)  # non-adjacent, above x
-        reach = ch[x] | sp[x]
-        if not partners or not reach:
-            continue
-        heads = 0  # parents and spouses of the reached nodes
-        frontier = reach
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                w = low.bit_length() - 1
-                nxt |= sp[w]
-                heads |= pa[w] | sp[w]
-                frontier ^= low
-            frontier = nxt & ~reach
-            reach |= frontier
-        cand = heads & partners
-        if cand:
-            anx = g.ancestor_mask(x)
-            for y in iter_bits(cand):
-                path = _inducing_path(g, x, y, anx | g.ancestor_mask(y))
-                if path is not None:
-                    return x, y, path
-    return None
+    if not is_ancestral(g):
+        raise PreconditionError("maximality is only defined on ancestral graphs")
+    return _ancestral_maximality_witness(g)
 
 
 def _ancestral_maximality_witness(
     g: MixedGraph,
 ) -> tuple[int, int, tuple[int, ...]] | None:
     # maximality_witness for a graph known to be ancestral, over the
-    # candidates its docstring derives for that case.
+    # candidates its docstring derives.
     adj, pa, ch, sp = g._adj, g._pa, g._ch, g._sp
     n = g.n
     paired = 0  # nodes with a spouse
@@ -730,13 +696,9 @@ def _ancestral_maximality_witness(
 
 
 def is_maximal(g: MixedGraph) -> bool:
-    """No inducing path between any non-adjacent pair.
-
-    Only defined on ancestral graphs.
-    """
-    if not is_ancestral(g):
-        raise PreconditionError("is_maximal requires an ancestral graph")
-    return _ancestral_maximality_witness(g) is None
+    """No inducing path between any non-adjacent pair: ``maximality_witness``
+    is None.  Only defined on ancestral graphs."""
+    return maximality_witness(g) is None
 
 
 def mag_violation(g: MixedGraph) -> tuple[str, str] | None:

@@ -51,7 +51,6 @@ def graph_from_json_dict(data: object) -> MixedGraph:
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list")
     n = len(nodes)
-    pairs: dict[tuple[int, int], int] = {}
     pa, ch, sp = [0] * n, [0] * n, [0] * n
     for item in raw_edges:
         if not isinstance(item, dict) or item.keys() != {"u", "v", "type"}:
@@ -64,16 +63,16 @@ def graph_from_json_dict(data: object) -> MixedGraph:
             raise ParseError(f"edge endpoint {bad!r} is not a declared node")
         if u == v:
             raise ParseError(f"self-loop at node {a!r}")
-        i, j = (u, v) if u < v else (v, u)
-        if (i, j) in pairs:
+        if (pa[u] | ch[u] | sp[u]) >> v & 1:
+            i, j = (u, v) if u < v else (v, u)
             raise ParseError(
                 f"more than one edge between {nodes[i]!r} and {nodes[j]!r}"
             )
         kind = item["type"]
         if kind != "directed" and kind != "bidirected":
             raise ParseError(f"unknown edge type {kind!r}")
-        _put_edge(pairs, pa, ch, sp, u, v, kind == "bidirected")
-    return MixedGraph._trusted(n, tuple(nodes), pairs, pa, ch, sp, None)
+        _put_edge(pa, ch, sp, u, v, kind == "bidirected")
+    return MixedGraph._trusted(n, tuple(nodes), pa, ch, sp, None)
 
 
 def parse_graph_json(text: str) -> MixedGraph:
@@ -177,7 +176,6 @@ def parse_dot(text: str) -> MixedGraph:
         raise ParseError("duplicate node statement")
     index = {label: i for i, label in enumerate(labels)}
     n = len(labels)
-    pairs: dict[tuple[int, int], int] = {}
     pa, ch, sp = [0] * n, [0] * n, [0] * n
     dup = None  # the first repeated pair, reported once every edge resolves
     for u, v, both in edge_specs:
@@ -185,15 +183,14 @@ def parse_dot(text: str) -> MixedGraph:
             raise ParseError(f"edge references undeclared node {u!r} or {v!r}")
         a, b = index[u], index[v]
         if a == b:
-            raise ParseError(f"self-loop at node {a}")
-        pair = (a, b) if a < b else (b, a)
-        if pair not in pairs:
-            _put_edge(pairs, pa, ch, sp, a, b, both)
+            raise ParseError(f"self-loop at node {u!r}")
+        if not (pa[a] | ch[a] | sp[a]) >> b & 1:
+            _put_edge(pa, ch, sp, a, b, both)
         elif dup is None:
-            dup = pair
+            dup = (u, v) if a < b else (v, u)
     if dup is not None:
-        raise ParseError(f"more than one edge between nodes {dup[0]} and {dup[1]}")
-    return MixedGraph._trusted(n, tuple(labels), pairs, pa, ch, sp, None)
+        raise ParseError(f"more than one edge between {dup[0]!r} and {dup[1]!r}")
+    return MixedGraph._trusted(n, tuple(labels), pa, ch, sp, None)
 
 
 def load_graph(path: str | os.PathLike) -> MixedGraph:

@@ -16,6 +16,7 @@ already holds without building a graph, a key or a ``Mag``.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from collections import deque
 from dataclasses import dataclass
@@ -226,7 +227,7 @@ def legal_moves(m: Mag) -> list[MoveDescriptor]:
     require_mags(m)
     g = m.graph
     out = []
-    for (i, j), mark in g._pairs.items():
+    for i, j, mark in g._marks():
         if mark == _BI:
             tries = ((MoveKind.BI_TO_DIR, i, j), (MoveKind.BI_TO_DIR, j, i))
         else:
@@ -267,6 +268,7 @@ def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
         raise InputError(f"max_size must be an integer >= 1, got {max_size!r}")
     n = m.n
     seen = {m.graph.pair_code: m}
+    keys = {code: m.canonical_key() for code in seen}
     queue = deque(seen.items())
     truncated = False
     while queue and not truncated:
@@ -274,18 +276,26 @@ def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
         g = cur.graph
         for mv in legal_moves(cur):
             x, y = mv.x, mv.y
-            i, j = (x, y) if x < y else (y, x)
-            if mv.kind is MoveKind.DIR_TO_BI:
-                state = _BI
-            else:  # the new tail is x for BI_TO_DIR, y for REVERSE
-                state = _FWD if (x < y) == (mv.kind is MoveKind.BI_TO_DIR) else _REV
-            nxt = code ^ ((g._pairs[i, j] ^ state) << _pair_shift(n, i, j))
+            # A reversal swaps the states of x -> y and y -> x; the other
+            # two moves swap x -> y and x <-> y.
+            if mv.kind is MoveKind.REVERSE:
+                flip = _FWD ^ _REV
+            else:
+                flip = _BI ^ (_FWD if x < y else _REV)
+            nxt = code ^ (flip << _pair_shift(n, min(x, y), max(x, y)))
             if nxt in seen:
                 continue
             if len(seen) >= max_size:
                 truncated = True
                 break
-            seen[nxt] = member = Mag(g.with_edge(_replacement(mv)))
+            new = _replacement(mv)
+            seen[nxt] = member = Mag(g.with_edge(new))
             queue.append((nxt, member))
-    graphs = {member.canonical_key(): member for member in seen.values()}
+            # The member's key is its source's with the pair's token swapped,
+            # which costs less than reading a large graph's rows again.
+            toks = keys[code].split(";")
+            toks.remove(g.edge_between(x, y).token())
+            bisect.insort(toks, new.token(), 1)
+            keys[nxt] = ";".join(toks)
+    graphs = {keys[c]: member for c, member in seen.items()}
     return ClosureResult(frozenset(graphs), graphs, truncated)

@@ -350,36 +350,54 @@ def test_maximality_witness_matches_all_pairs_scan_exhaustively():
     assert found == 12  # with an inducing path between non-adjacent nodes
 
 
+def test_maximality_witness_matches_all_pairs_scan_on_sampled_codes():
+    # Uniformly random codes: the ancestral ones agree with the all-pairs
+    # scan, and the rest are refused.
+    rng = random.Random(606)
+    kept = refused = found = 0
+    while kept < 10000:
+        n = rng.randint(5, 9)
+        absent = rng.choice((0.3, 0.5, 0.7))
+        code = 0
+        for p in range(n * (n - 1) // 2):
+            if rng.random() >= absent:
+                code |= rng.randint(1, 3) << (2 * p)
+        g = graph_from_pair_code(n, code)
+        if not is_ancestral(g):
+            refused += 1
+            with pytest.raises(PreconditionError):
+                maximality_witness(g)
+            continue
+        kept += 1
+        got = maximality_witness(g)
+        assert got == maximality_witness_all_pairs(g), (n, code)
+        found += got is not None
+    assert refused > 0
+    assert found > 40
+
+
 def test_maximality_witness_matches_all_pairs_scan_on_ancestral_codes():
-    # The ancestral graphs among uniformly random codes, and among codes
-    # that orient every directed edge along a random node order, which are
-    # ancestral far more often.
-    found = 0
-    for seed, ordered, wanted in ((606, False, 1000), (607, True, 4000)):
-        rng = random.Random(seed)
-        kept = 0
-        while kept < wanted:
-            n = rng.randint(5, 9)
-            rank = list(range(n))
-            if ordered:
-                rng.shuffle(rank)
-            absent = rng.choice((0.3, 0.5, 0.7))
-            code = 0
-            for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-                if rng.random() < absent:
-                    continue
-                if ordered:
-                    state = 3 if rng.random() < 0.6 else 1 if rank[i] < rank[j] else 2
-                else:
-                    state = rng.randint(1, 3)
+    # Random codes are rarely ancestral; these orient every directed edge
+    # along a random node order and keep only the ancestral graphs.
+    rng = random.Random(607)
+    kept = found = 0
+    while kept < 4000:
+        n = rng.randint(5, 9)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        absent = rng.choice((0.3, 0.5, 0.7))
+        code = 0
+        for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+            if rng.random() >= absent:
+                state = 3 if rng.random() < 0.6 else 1 if rank[i] < rank[j] else 2
                 code |= state << (2 * p)
-            g = graph_from_pair_code(n, code)
-            if not is_ancestral(g):
-                continue
-            kept += 1
-            got = maximality_witness(g)
-            assert got == maximality_witness_all_pairs(g), (n, code)
-            found += got is not None
+        g = graph_from_pair_code(n, code)
+        if not is_ancestral(g):
+            continue
+        kept += 1
+        got = maximality_witness(g)
+        assert got == maximality_witness_all_pairs(g), (n, code)
+        found += got is not None
     assert found > 150
 
 

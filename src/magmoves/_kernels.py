@@ -8,7 +8,8 @@ state ``s`` of pair ``p`` sits in bits ``2p, 2p+1``, with 1 for ``u -> v``,
 Both kernels hold a block of graphs as one unsigned row array per node for
 its parents, children and spouses (bit ``w`` of entry ``g`` set when node
 ``w`` is one in graph ``g``), and close the parent rows into ancestor rows
-by Warshall's algorithm.
+by Warshall's algorithm.  :func:`node_rows` builds these rows from a block
+of codes, for the enumeration scan and for decoding its MAGs.
 
 * The enumeration scan runs the same bitmask test as
   :func:`magmoves.graph.is_mag` over blocks of codes: no proper ancestor
@@ -27,6 +28,7 @@ import numpy as np
 __all__ = [
     "USING_NUMBA",
     "enumerate_mag_codes",
+    "node_rows",
     "pair_list",
     "signature_block",
 ]
@@ -61,12 +63,11 @@ def _ancestor_rows(pa: list[np.ndarray]) -> list[np.ndarray]:
     return an
 
 
-def _is_mag_block(n: int, codes: np.ndarray) -> np.ndarray:
-    zero = np.zeros(codes.shape[0], np.uint8)
-    pa = [zero.copy() for _ in range(n)]
-    ch = [zero.copy() for _ in range(n)]
-    sp = [zero.copy() for _ in range(n)]
-    adjacent = {}
+def node_rows(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parent, child and spouse rows of a block of pair codes, each of shape
+    (n, len(codes)) and dtype uint8, so n <= 8: entry ``[w, g]`` is node
+    ``w``'s mask in the graph of ``codes[g]``."""
+    pa, ch, sp = np.zeros((3, n, codes.shape[0]), np.uint8)
     for p, (u, v) in enumerate(pair_list(n)):
         s = ((codes >> (2 * p)) & 3).astype(np.uint8)
         fwd = -(s == 1).view(np.uint8)  # 0xff where u -> v
@@ -78,19 +79,24 @@ def _is_mag_block(n: int, codes: np.ndarray) -> np.ndarray:
         pa[u] |= rev & (1 << v)
         sp[u] |= bi & (1 << v)
         sp[v] |= bi & (1 << u)
-        adjacent[u, v] = s != 0
+    return pa, ch, sp
+
+
+def _is_mag_block(n: int, codes: np.ndarray) -> np.ndarray:
+    pa, ch, sp = (list(rows) for rows in node_rows(n, codes))
     an = _ancestor_rows(pa)
     ok = np.ones(codes.shape[0], bool)
     for x in range(n):
         # a proper ancestor that is also a child (cycle) or a spouse
         ok &= (an[x] & ~np.uint8(1 << x) & (ch[x] | sp[x])) == 0
     head = [ch[x] | sp[x] for x in range(n)]  # arrowhead at the far end
-    for (x, y), adj in adjacent.items():
+    for x, y in pair_list(n):
+        adjacent = (pa[x] | head[x]) & np.uint8(1 << y) != 0
         allowed = (an[x] | an[y]) & ~np.uint8((1 << x) | (1 << y))
         reach = head[x] & allowed
         for _ in range(n - 3):
             reach |= _spread(sp, reach) & allowed
-        ok &= adj | ((reach & head[y]) == 0)
+        ok &= adjacent | ((reach & head[y]) == 0)
     return ok
 
 

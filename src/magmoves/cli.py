@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import enumeration
@@ -170,17 +171,25 @@ def _cmd_class(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    first = True
-    for m in enumeration.enumerate_mags(args.n):
-        if args.format == "json":
-            print(json.dumps(graph_to_json_dict(m.graph)))
-        elif args.format == "dot":
-            if not first:
-                print()
-            print(graph_to_dot(m.graph), end="")
-        else:
-            print(m.canonical_key())
-        first = False
+    # One write per decoding block; what is held when the stream stops, on
+    # an error too, is written before the error surfaces.
+    if args.format == "json":
+        render = lambda g: json.dumps(graph_to_json_dict(g)) + "\n"
+    elif args.format == "dot":
+        render = graph_to_dot
+    else:
+        render = lambda g: g.canonical_key() + "\n"
+    gap = "\n" if args.format == "dot" else ""  # a blank line between DOT graphs
+    held, lead = [], ""
+    try:
+        for m in enumeration.enumerate_mags(args.n):
+            held.append(lead + render(m.graph))
+            lead = gap
+            if len(held) == enumeration._BLOCK:
+                out, held = "".join(held), []
+                sys.stdout.write(out)
+    finally:
+        sys.stdout.write("".join(held))
     return 0
 
 
@@ -290,7 +299,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:  # console-script hook
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``enumerate --n 5 | head``): exit 1 as Python
+        # does, stdout on devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

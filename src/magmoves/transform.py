@@ -222,23 +222,26 @@ def apply_move(m: Mag, move: MoveDescriptor) -> Mag:
     return Mag(m.graph.with_edge(_replacement(move)))
 
 
+# legal_moves sorts a move as the plain tuple (rank, x, y), no key function
+_RANKED_KINDS = (MoveKind.DIR_TO_BI, MoveKind.BI_TO_DIR, MoveKind.REVERSE)
+
+
 def legal_moves(m: Mag) -> list[MoveDescriptor]:
     """Every move whose predicate passes, sorted by kind then endpoints."""
     require_mags(m)
     g = m.graph
-    out = []
+    found = []
     for i, j, mark in g._marks():
         if mark == _BI:
-            tries = ((MoveKind.BI_TO_DIR, i, j), (MoveKind.BI_TO_DIR, j, i))
+            tries = ((1, i, j), (1, j, i))
         else:
             u, v = (i, j) if mark == _FWD else (j, i)
-            tries = ((MoveKind.DIR_TO_BI, u, v), (MoveKind.REVERSE, u, v))
-        for kind, x, y in tries:
-            if _failure(g, kind, x, y) is None:
-                out.append(MoveDescriptor(kind, x, y))
-    kinds = {MoveKind.DIR_TO_BI: 0, MoveKind.BI_TO_DIR: 1, MoveKind.REVERSE: 2}
-    out.sort(key=lambda mv: (kinds[mv.kind], mv.x, mv.y))
-    return out
+            tries = ((0, u, v), (2, u, v))
+        for rank, x, y in tries:
+            if _failure(g, _RANKED_KINDS[rank], x, y) is None:
+                found.append((rank, x, y))
+    found.sort()
+    return [MoveDescriptor(_RANKED_KINDS[r], x, y) for r, x, y in found]
 
 
 def delta(m1: Mag, m2: Mag) -> frozenset[Edge]:

@@ -2,13 +2,33 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magmoves import MixedGraph, bidirected, directed, graph_to_json
+import magmoves
+from magmoves import (
+    MixedGraph,
+    bidirected,
+    directed,
+    enumerate_mags,
+    graph_to_dot,
+    graph_to_json,
+    graph_to_json_dict,
+)
+from magmoves import _kernels
 from magmoves.cli import main
+
+_RENDER = {
+    "text": lambda g: g.canonical_key() + "\n",
+    "json": lambda g: json.dumps(graph_to_json_dict(g)) + "\n",
+    "dot": graph_to_dot,
+}
 
 
 @pytest.fixture
@@ -332,6 +352,46 @@ def test_enumerate_json(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert all(isinstance(json.loads(ln), dict) for ln in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_enumerate_output_matches_per_graph_rendering(fmt, capsys):
+    assert main(["enumerate", "--n", "4", "--format", fmt]) == 0
+    gap = "\n" if fmt == "dot" else ""  # a blank line between DOT graphs
+    want = gap.join(_RENDER[fmt](m.graph) for m in enumerate_mags(4))
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_enumerate_prints_lines_before_a_failed_recheck(fmt, monkeypatch, capsys):
+    # the empty graph (key "3") sorts before the directed cycle 0->1->2->0
+    cycle = 1 | (2 << 2) | (1 << 4)
+    monkeypatch.setattr(
+        _kernels, "enumerate_mag_codes", lambda n: np.array([0, cycle], np.int64)
+    )
+    assert main(["enumerate", "--n", "3", "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == _RENDER[fmt](MixedGraph(3, []))
+    assert "directed cycle" in err
+
+
+def test_enumerate_into_a_closed_pipe_exits_one_without_traceback():
+    src = os.path.dirname(os.path.dirname(magmoves.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "magmoves", "enumerate", "--n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"5\n"
+        proc.stdout.close()  # the reader goes away, as `| head -1` does
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def test_enumerate_bad_n(capsys):

@@ -119,6 +119,35 @@ def test_enumeration_rechecks_kernel_codes(monkeypatch, n, code, witness):
         list(enumeration.enumerate_mags(n))
 
 
+def _assert_block_decoder_matches_oracle(n):
+    # The kernel's codes decoded one at a time by graph_from_pair_code and
+    # sorted by their keys, against enumerate_mags' block decoding.
+    codes = sorted(
+        _kernels.enumerate_mag_codes(n).tolist(),
+        key=lambda c: graph_from_pair_code(n, c).canonical_key(),
+    )
+    count = 0
+    for code, m in zip(codes, enumeration.enumerate_mags(n)):
+        got, want = m.graph, graph_from_pair_code(n, code)
+        assert (got._pa, got._ch, got._sp) == (want._pa, want._ch, want._sp), code
+        assert got.labels == want.labels
+        # _trusted stores the key unchecked: rebuild it from the edges
+        key = got.canonical_key()
+        assert key == MixedGraph(n, got.edges).canonical_key() == want.canonical_key()
+        count += 1
+    assert count == len(codes)
+
+
+def test_block_decoder_matches_per_code_decoder():
+    for n in (1, 2, 3, 4):
+        _assert_block_decoder_matches_oracle(n)
+
+
+@pytest.mark.slow
+def test_block_decoder_matches_per_code_decoder_on_every_n5_mag():
+    _assert_block_decoder_matches_oracle(5)
+
+
 def test_counts_small():
     assert len(list(enumeration.enumerate_mags(1))) == 1
     assert len(list(enumeration.enumerate_mags(2))) == 4

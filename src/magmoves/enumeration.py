@@ -17,7 +17,8 @@ import numpy as np
 from . import _kernels
 from .errors import InputError
 from .graph import (
-    EdgeKind,
+    _BI,
+    _REV,
     Mag,
     MixedGraph,
     _check_labels,
@@ -34,11 +35,12 @@ from .equivalence import (
 )
 from .transform import (
     MoveKind,
+    _closure_walk,
     _failure,
+    _moved_code,
     apply_move,
     blanketed_bidirected_violation,
     blanketed_directed_violation,
-    equivalence_class_closure,
     delta,
     legal_moves,
 )
@@ -347,17 +349,22 @@ def test_conjecture1(n: int) -> ConjectureReport:
     part = partition_into_classes(enumerate_mags(n))
     counterexamples = []
     pairs_examined = 0
-    for keys in part.classes:
+    closure_gaps = []
+    for cid, keys in enumerate(part.classes):
         members = [part.graphs_by_key[k] for k in keys]
+        codes = [m.graph.pair_code for m in members]
+        # legal_moves runs only on members the closure walk did not expand
+        reached, moves, _ = _closure_walk(members[0], len(keys), keyed=False)
+        missed = sum(code not in reached for code in codes)
+        if missed:
+            closure_gaps.append((cid, missed))
         # Per member, two bits per pair position: its pair code (the marks),
         # and both bits set where the edge is blanketed, that is directed
         # and blanketed or bi-directed and blanketed against an endpoint.
-        codes = []
         blanketed = []
-        for m in members:
-            codes.append(m.graph.pair_code)
+        for code, m in zip(codes, members):
             bl = 0
-            for mv in legal_moves(m):
+            for mv in moves[code] if code in moves else legal_moves(m):
                 if mv.kind is not MoveKind.REVERSE:
                     bl |= 3 << _pair_shift(n, min(mv.x, mv.y), max(mv.x, mv.y))
             blanketed.append(bl)
@@ -372,13 +379,6 @@ def test_conjecture1(n: int) -> ConjectureReport:
                     counterexamples.append(
                         (keys[i], keys[j], tuple(sorted(e.token() for e in d)))
                     )
-    closure_gaps = []
-    for cid, keys in enumerate(part.classes):
-        seed = part.graphs_by_key[keys[0]]
-        res = equivalence_class_closure(seed, max_size=len(keys))
-        missed = len(set(keys) - res.keys)
-        if missed:
-            closure_gaps.append((cid, missed))
     return ConjectureReport(
         n=n,
         mag_count=len(part.class_of),
@@ -463,11 +463,14 @@ def verify_theorems(n: int) -> EquivalenceReport:
     the blanket predicates for mark flips between equivalent MAGs, the
     screened reversal characterization, both path lemmas behind them, and
     agreement of the graphical equivalence test with the brute-force oracle
-    on every ordered pair.  Inside each (skeleton, unshielded-collider)
-    bucket, the shared candidate-triple masks of ``_triple_masks`` settle
-    every pair with no triple to search as equivalent, and only the other
-    pairs run the discriminating-path search; the verdict on each pair is
-    the one the search alone would give.
+    on every ordered pair.  A licensed move's result is found by patching
+    the moved pair in the source's pair code and looking the code up among
+    the enumerated MAGs; only a result missing there or in another class
+    goes through ``apply_move``, which builds the violation text.  Inside
+    each (skeleton, unshielded-collider) bucket, the shared candidate-triple
+    masks of ``_triple_masks`` settle every pair with no triple to search as
+    equivalent, and only the other pairs run the discriminating-path search;
+    the verdict on each pair is the one the search alone would give.
     """
     part = partition_into_classes(enumerate_mags(n))
     checks = _move_checks(n, part)
@@ -500,18 +503,18 @@ def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
                 continue
             blanketed.add((mv.x, mv.y))
             cases["thm3_sound"] += 1
-            try:
-                m2 = apply_move(m, mv)
-            except InputError as exc:
-                viol["thm3_sound"].append(f"{key} {mv}: {exc}")
-                continue
-            if by_code.get(m2.graph.pair_code, no_mag)[0] != cid:
+            if by_code.get(_moved_code(n, code, mv), no_mag)[0] != cid:
+                try:
+                    m2 = apply_move(m, mv)
+                except InputError as exc:
+                    viol["thm3_sound"].append(f"{key} {mv}: {exc}")
+                    continue
                 viol["thm3_sound"].append(
                     f"{key} {mv} -> {m2.canonical_key()}: not equivalent"
                 )
 
-        for e in m.edges:
-            u, v = e.u, e.v
+        for i, j, mark in m.graph._marks():
+            u, v = (j, i) if mark == _REV else (i, j)
             for x, y in ((u, v), (v, u)):
                 if (x, y) not in blanketed:
                     continue
@@ -521,11 +524,11 @@ def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
                         f"{key}: collider entry paths into {x} "
                         f"escape the blanket of {y}"
                     )
-            if e.kind is not EdgeKind.DIRECTED:
+            if mark == _BI:
                 continue
             edge_blanketed = (u, v) in blanketed
             edge_screened = (u, v) in screened
-            shift = _pair_shift(n, min(u, v), max(u, v))
+            shift = _pair_shift(n, i, j)
 
             # u <-> v sets both bits of the pair; v -> u swaps 1 and 2
             cid2, m2 = by_code.get(code | 3 << shift, no_mag)
@@ -533,7 +536,8 @@ def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
                 cases["thm3_necessary"] += 1
                 if not edge_blanketed:
                     viol["thm3_necessary"].append(
-                        f"{key}: {e.token()} flips but is not blanketed"
+                        f"{key}: {_token(str(u), str(v), False)} flips but "
+                        "is not blanketed"
                     )
                 if _failure(m2.graph, MoveKind.BI_TO_DIR, u, v) is not None:
                     viol["thm3_necessary"].append(
@@ -545,7 +549,7 @@ def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
             same = by_code.get(code ^ 3 << shift, no_mag)[0] == cid
             if same != edge_screened:
                 viol["thm4_iff"].append(
-                    f"{key}: reversal of {e.token()} "
+                    f"{key}: reversal of {_token(str(u), str(v), False)} "
                     f"equivalent={same} screened={edge_screened}"
                 )
 
@@ -553,7 +557,8 @@ def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
                 cases["lemma2"] += 1
                 if not edge_blanketed:
                     viol["lemma2"].append(
-                        f"{key}: {e.token()} screened but not blanketed"
+                        f"{key}: {_token(str(u), str(v), False)} screened but "
+                        "not blanketed"
                     )
 
     return {k: CheckOutcome(cases[k], tuple(viol[k])) for k in names}

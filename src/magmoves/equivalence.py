@@ -199,10 +199,10 @@ def _head_rows(g: MixedGraph) -> list[int]:
 
 def _discriminating_witness(
     g1: MixedGraph, g2: MixedGraph, head1: list[int], head2: list[int]
-) -> str | None:
+) -> tuple[tuple[int, ...], bool] | None:
     # For graphs with equal local keys, given their _head_rows: a path that
-    # discriminates a node in both graphs with a different collider status,
-    # or None.
+    # discriminates its second-to-last node in both graphs with a different
+    # collider status, and whether that node is the collider in g1; or None.
     into = [a & b for a, b in zip(head1, head2)]  # arrowheads shared by both
     bi = [a & b for a, b in zip(g1._sp, g2._sp)]
     adj = g1._adj
@@ -220,13 +220,7 @@ def _discriminating_witness(
                 # would be a non-collider in both
                 chain = _entry_chain(q, common, bi, lambda c: into[c] & far)
                 if chain is not None:
-                    path = (*chain, b, y)
-                    return (
-                        f"discriminating path {format_path(g1, path)} in the "
-                        f"first graph, {format_path(g2, path)} in the second: "
-                        f"{g1.labels[b]} is a collider on it only in the "
-                        f"{'first' if collider else 'second'}"
-                    )
+                    return (*chain, b, y), collider
     return None
 
 
@@ -275,7 +269,15 @@ def equivalence_witness(m1: Mag, m2: Mag) -> str | None:
     g1, g2 = m1.graph, m2.graph
     if _local_key(g1) != _local_key(g2):
         return _local_witness(g1, g2)
-    return _discriminating_witness(g1, g2, _head_rows(g1), _head_rows(g2))
+    found = _discriminating_witness(g1, g2, _head_rows(g1), _head_rows(g2))
+    if found is None:
+        return None
+    path, first = found
+    return (
+        f"discriminating path {format_path(g1, path)} in the first graph, "
+        f"{format_path(g2, path)} in the second: {g1.labels[path[-2]]} is a "
+        f"collider on it only in the {'first' if first else 'second'}"
+    )
 
 
 def markov_equivalent(m1: Mag, m2: Mag) -> bool:

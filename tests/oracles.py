@@ -19,6 +19,7 @@ from magmoves import (
     m_connected,
     simple_paths_between,
 )
+from magmoves.equivalence import _discriminates_forward
 from magmoves.graph import EdgeKind, MixedGraph, inducing_path_witness, iter_bits
 from magmoves.transform import (
     blanketed_bidirected_violation,
@@ -143,14 +144,15 @@ def simple_paths_recursive(g: MixedGraph, x: int, y: int):
 
 def discriminating_triple_naive(g: MixedGraph, z: int, x: int, y: int) -> bool:
     """Enumerate simple paths ending (..., z, x, y) and test each with the
-    public path predicate."""
+    path predicate behind :func:`is_discriminating_path`; every path built
+    here is valid by construction, so it is not re-validated."""
     banned = (1 << x) | (1 << y)
 
     def extend(prefix: tuple[int, ...], visited: int) -> bool:
         head = prefix[0]
         for w in iter_bits(g._adj[head] & ~visited & ~banned):
             seq = (w,) + prefix
-            if is_discriminating_path(g, seq + (x, y), x):
+            if _discriminates_forward(g, seq + (x, y)):
                 return True
             if extend(seq, visited | (1 << w)):
                 return True

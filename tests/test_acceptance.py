@@ -14,7 +14,7 @@ from magmoves.enumeration import (
     partition_into_classes,
 )
 from magmoves.equivalence import discriminating_path_exists_for_triple
-from magmoves.graph import EdgeKind, is_ancestral, maximality_witness
+from magmoves.graph import EdgeKind, is_ancestral, iter_bits, maximality_witness
 from magmoves.separation import find_separator, m_connected
 from magmoves.transform import (
     equivalence_class_closure,
@@ -147,14 +147,9 @@ def test_c08_discriminating_search_matches_enumeration(mags_to_5):
         for m in mags_to_5[n]:
             g = m.graph
             for x in range(n):
-                for z in range(n):
-                    if z == x or not g.has_edge(z, x):
-                        continue
-                    if not g.arrowhead_toward(z, x):
-                        continue
-                    for y in range(n):
-                        if y in (z, x) or not g.has_edge(x, y):
-                            continue
+                # z has an edge with an arrowhead at x; y is adjacent to x
+                for z in iter_bits(g._pa[x] | g._sp[x]):
+                    for y in iter_bits(g._adj[x] & ~(1 << z)):
                         fast = discriminating_path_exists_for_triple(g, z, x, y)
                         assert fast == discriminating_triple_naive(g, z, x, y), (
                             f"{g.canonical_key()} z={z} x={x} y={y}"

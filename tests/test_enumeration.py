@@ -519,3 +519,50 @@ def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
     rep = enumeration.test_conjecture1(4)
     assert want
     assert list(rep.counterexamples) == want
+    # The denied moves leave members the closure never reaches; the sweep
+    # asks legal_moves itself for those, and counts them as gaps exactly
+    # as the public closure from each class's smallest key misses them.
+    part = partition_into_classes(enumeration.enumerate_mags(4))
+    gaps = []
+    for cid, keys in enumerate(part.classes):
+        res = transform.equivalence_class_closure(
+            part.graphs_by_key[keys[0]], max_size=len(keys)
+        )
+        missed = len(set(keys) - res.keys)
+        if missed:
+            gaps.append((cid, missed))
+    assert gaps
+    assert list(rep.closure_gaps) == gaps
+
+
+def test_thm3_sound_reports_what_apply_move_finds(monkeypatch):
+    # Every dir-to-bi and bi-to-dir move licensed, so some lead out of the
+    # MAGs and some into another class: the check must report what
+    # apply_move and a class lookup find, move by move, in order.
+    real = transform._failure
+
+    def licensed(g, kind, x, y):
+        if kind is transform.MoveKind.REVERSE:
+            return real(g, kind, x, y)
+        return None
+
+    monkeypatch.setattr(transform, "_failure", licensed)
+    part = partition_into_classes(enumeration.enumerate_mags(4))
+    cases, want = 0, []
+    for key, m in part.graphs_by_key.items():
+        for mv in transform.legal_moves(m):
+            if mv.kind is transform.MoveKind.REVERSE:
+                continue
+            cases += 1
+            try:
+                m2 = transform.apply_move(m, mv)
+            except InputError as exc:
+                want.append(f"{key} {mv}: {exc}")
+                continue
+            if part.class_of[m2.canonical_key()] != part.class_of[key]:
+                want.append(f"{key} {mv} -> {m2.canonical_key()}: not equivalent")
+    got = enumeration.verify_theorems(4).checks["thm3_sound"]
+    unequal = sum(v.endswith(": not equivalent") for v in want)
+    assert 0 < unequal < len(want)
+    assert got.cases == cases
+    assert list(got.violations) == want

@@ -27,12 +27,7 @@ from .graph import (
     iter_bits,
     require_mags,
 )
-from .equivalence import (
-    _discriminating_witness,
-    _head_rows,
-    _local_key,
-    _triple_masks,
-)
+from .equivalence import _local_key_ids, _triple_masks
 from .transform import (
     MoveKind,
     _closure_walk,
@@ -399,20 +394,58 @@ def _class_by_code(part: ClassPartition) -> dict[int, tuple[int, Mag]]:
     }
 
 
+# Member pairs _bucket_verdicts decides at a time, as block rows times the
+# bucket size: the largest n = 5 bucket holds 4,231 graphs, whose full
+# uint64 candidate matrix would take 143 MB.
+_BLOCK_PAIRS = 1 << 14
+
+
 def _bucket_verdicts(graphs: list[MixedGraph]) -> Iterator[np.ndarray]:
-    # The graphical test inside one local-key bucket, a bool row per member
-    # over all members.  A pair whose candidate-triple masks leave no
-    # triple is equivalent without a search (see _triple_masks); every
-    # other pair asks the discriminating-path search.
-    f, c = _triple_masks(graphs)
-    heads = [_head_rows(g) for g in graphs]
-    for i, g in enumerate(graphs):
-        row = np.ones(len(graphs), dtype=bool)
-        for j in np.flatnonzero(f[i] & f & (c[i] ^ c)):
-            row[j] = (
-                _discriminating_witness(g, graphs[j], heads[i], heads[j]) is None
-            )
-        yield row
+    # The graphical test inside one local-key bucket, as bool blocks of
+    # consecutive member rows over all members.  A pair is equivalent
+    # unless one of its candidate triples (q, b, y) (see _triple_masks)
+    # opens the chain _discriminating_witness looks for: from q along edges
+    # bi-directed in both graphs, through parents of y in both, to a node
+    # with an arrowhead in both from a non-neighbour of y.  All (pair,
+    # triple) items of a block run that search at once on uint8 node masks,
+    # which hold the sweeps' n <= 5.
+    n = graphs[0].n
+    f, c, triples = _triple_masks(graphs)
+    q, y = triples[:, 0], triples[:, 2]
+    pa, sp = (
+        np.array([getattr(g, name) for g in graphs], np.uint8).reshape(-1, n)
+        for name in ("_pa", "_sp")
+    )
+    head = pa | sp
+    node = np.uint8(1) << np.arange(n, dtype=np.uint8)
+    far = ~(np.array(graphs[0]._adj, np.uint8) | node)  # per y
+    size = max(1, _BLOCK_PAIRS // len(graphs))
+    for start in range(0, len(graphs), size):
+        cand = f[start : start + size, None] & f & (c[start : start + size, None] ^ c)
+        block = np.ones(cand.shape, dtype=bool)
+        pi, pj = np.nonzero(cand)
+        if pi.size:
+            bits = cand[pi, pj].astype("<u8").view(np.uint8).reshape(-1, 8)
+            item, t = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
+            a, b = pi[item] + start, pj[item]
+            ti, ty = q[t], y[t]
+            allowed = pa[a, ty] & pa[b, ty]
+            bi = sp[a] & sp[b]
+            hits = np.packbits(
+                (head[a] & head[b] & far[ty, None]) != 0, axis=1, bitorder="little"
+            )[:, 0]
+            reach = node[ti]
+            while True:
+                nbrs = np.zeros_like(reach)
+                for s in range(n):
+                    nbrs |= bi[:, s] * ((reach >> s) & 1)
+                grown = reach | (nbrs & allowed)
+                if np.array_equal(grown, reach):
+                    break
+                reach = grown
+            found = item[(reach & hits) != 0]
+            block[pi[found], pj[found]] = False
+        yield block
 
 
 def _oracle_violations(part: ClassPartition) -> list[str]:
@@ -423,24 +456,30 @@ def _oracle_violations(part: ClassPartition) -> list[str]:
     # disagree.
     keys = list(part.graphs_by_key)
     graphs = [m.graph for m in part.graphs_by_key.values()]
-    class_id = [part.class_of[k] for k in keys]
-    buckets: dict = {}
-    classes: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        buckets.setdefault(_local_key(g), []).append(i)
-        classes.setdefault(class_id[i], []).append(i)
-    bucket_of = [0] * len(keys)
+    class_id = np.array([part.class_of[k] for k in keys])
+    bucket_of = _local_key_ids(graphs)
     found = []
-    for b, members in enumerate(buckets.values()):
-        cls = np.array([class_id[i] for i in members])
-        rows = _bucket_verdicts([graphs[i] for i in members])
-        for i, row in zip(members, rows):
-            bucket_of[i] = b
-            brute = cls == class_id[i]
+    by_bucket = np.argsort(bucket_of, kind="stable")
+    for members in np.split(by_bucket, np.cumsum(np.bincount(bucket_of))[:-1]):
+        cls = class_id[members]
+        start = 0
+        for block in _bucket_verdicts([graphs[i] for i in members]):
+            rows = members[start : start + len(block)]
+            brute = cls[start : start + len(block), None] == cls
+            r, j = np.nonzero(block != brute)
             found.extend(
-                (i, members[j], bool(row[j]), bool(brute[j]))
-                for j in np.flatnonzero(row != brute)
+                zip(
+                    rows[r].tolist(),
+                    members[j].tolist(),
+                    block[r, j].tolist(),
+                    brute[r, j].tolist(),
+                )
             )
+            start += len(block)
+    bucket_of = bucket_of.tolist()
+    classes: dict[int, list[int]] = {}
+    for i, cid in enumerate(class_id.tolist()):
+        classes.setdefault(cid, []).append(i)
     for members in classes.values():
         if len({bucket_of[i] for i in members}) > 1:
             found.extend(
@@ -469,8 +508,11 @@ def verify_theorems(n: int) -> EquivalenceReport:
     goes through ``apply_move``, which builds the violation text.  Inside
     each (skeleton, unshielded-collider) bucket, the shared candidate-triple
     masks of ``_triple_masks`` settle every pair with no triple to search as
-    equivalent, and only the other pairs run the discriminating-path search;
-    the verdict on each pair is the one the search alone would give.
+    equivalent, and the chains of the other pairs' candidate triples are
+    searched a block of rows at a time, vectorised over the pairs; the
+    verdict on each pair is the one the discriminating-path search alone
+    would give, which the tests check on every in-bucket pair at n <= 4
+    and, in the slow run, on every candidate pair at n = 5.
     """
     part = partition_into_classes(enumerate_mags(n))
     checks = _move_checks(n, part)

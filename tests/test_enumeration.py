@@ -22,7 +22,13 @@ from magmoves import (
     unshielded_colliders,
 )
 from magmoves import _kernels, enumeration, transform
-from magmoves.equivalence import _local_key, _triple_masks
+from magmoves.equivalence import (
+    _discriminating_witness,
+    _head_rows,
+    _local_key,
+    _local_key_ids,
+    _triple_masks,
+)
 
 from oracles import lemma1_by_paths
 from random_graphs import mark_change_walk, random_dag
@@ -405,7 +411,9 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
             enumeration,
             "_bucket_verdicts",
             lambda graphs: (
-                np.array([equivalent(Mag._trusted(a), Mag._trusted(b)) for b in graphs])
+                np.array(
+                    [[equivalent(Mag._trusted(a), Mag._trusted(b)) for b in graphs]]
+                )
                 for a in graphs
             ),
         )
@@ -425,16 +433,31 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
     assert got.cases == 56**2
 
 
-def _assert_bucket_verdicts_match_search(mags):
-    # Every ordered pair of every local-key bucket among ``mags``; returns
-    # the pair count and how many of them the search tells apart.
+def _assert_local_key_ids_match(graphs):
+    # the sweep's bucket ids pair off one to one with the local keys
+    keys = [_local_key(g) for g in graphs]
+    ids = _local_key_ids(graphs).tolist()
+    assert len(set(zip(keys, ids))) == len(set(keys)) == len(set(ids))
+
+
+def _assert_bucket_verdicts_match_search(mags, rows=None, monkeypatch=None):
+    # Every ordered pair of every local-key bucket among ``mags``, in blocks
+    # of ``rows`` member rows when given; returns the pair count and how
+    # many of them the search tells apart.
+    _assert_local_key_ids_match([m.graph for m in mags])
     buckets = {}
     for m in mags:
         buckets.setdefault(_local_key(m.graph), []).append(m)
     pairs = apart = 0
     for members in buckets.values():
         graphs = [m.graph for m in members]
-        got = [list(row) for row in enumeration._bucket_verdicts(graphs)]
+        if rows:
+            monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", rows * len(graphs))
+        blocks = list(enumeration._bucket_verdicts(graphs))
+        if rows:
+            whole, rest = divmod(len(graphs), rows)
+            assert [len(b) for b in blocks] == [rows] * whole + [rest] * (rest > 0)
+        got = np.vstack(blocks).tolist()
         want = [[equivalence_witness(a, b) is None for b in members] for a in members]
         assert got == want, graphs
         pairs += len(graphs) ** 2
@@ -463,6 +486,47 @@ def test_bucket_verdicts_match_discriminating_search_on_random_walks():
         apart += a
     assert pairs > 10_000
     assert apart > 0
+
+
+@pytest.mark.parametrize("rows", [1, 4, 7])
+def test_bucket_verdicts_match_discriminating_search_in_ragged_blocks(
+    monkeypatch, mags_by_n, rows
+):
+    # every n = 4 bucket in blocks of 1, 4 or 7 member rows: the 219-graph
+    # bucket splits into 31 blocks of 7 and a last one of 2, and the
+    # 6-graph buckets, which hold every pair the search tells apart at
+    # n = 4, into blocks of 4 and 2
+    pairs, apart = _assert_bucket_verdicts_match_search(
+        mags_by_n[4], rows, monkeypatch
+    )
+    assert pairs == 89_302
+    assert apart > 0
+
+
+@pytest.mark.slow
+def test_bucket_verdicts_match_discriminating_search_on_every_n5_mag():
+    # the sweep's buckets, and the per-pair search on every in-bucket pair
+    # with a candidate triple
+    graphs = [m.graph for m in enumeration.enumerate_mags(5)]
+    assert len(graphs) == 328_924
+    _assert_local_key_ids_match(graphs)
+    buckets = {}
+    for g in graphs:
+        buckets.setdefault(_local_key(g), []).append(g)
+    searches = 0
+    for members in buckets.values():
+        f, c, _ = _triple_masks(members)
+        heads = [_head_rows(g) for g in members]
+        got = np.vstack(list(enumeration._bucket_verdicts(members)))
+        for i, g in enumerate(members):
+            want = np.ones(len(members), dtype=bool)
+            for j in np.flatnonzero(f[i] & f & (c[i] ^ c)):
+                searches += 1
+                want[j] = (
+                    _discriminating_witness(g, members[j], heads[i], heads[j]) is None
+                )
+            assert (got[i] == want).all(), g
+    assert searches == 13_700_640
 
 
 def test_triple_masks_stop_at_one_word():

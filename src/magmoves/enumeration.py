@@ -30,7 +30,6 @@ from .graph import (
 from .equivalence import _local_key_ids, _triple_masks
 from .transform import (
     MoveKind,
-    _closure_walk,
     _failure,
     _moved_code,
     apply_move,
@@ -339,7 +338,13 @@ def test_conjecture1(n: int) -> ConjectureReport:
     """Sweep every Markov-equivalent MAG pair on ``n`` nodes for a delta edge
     that is blanketed, and every class for members the move closure misses.
 
-    Counterexamples are reported, never asserted away.
+    ``legal_moves`` runs once per MAG.  The closure starts at the smallest
+    key and stays inside the class: a move is followed only when its
+    patched pair code is one of the class's, so no graph is built.  Every
+    member it reaches was checked as a ``Mag`` by ``enumerate_mags``, and
+    a licensed move that leaves its class is a ``thm3_sound`` violation of
+    ``verify_theorems``.  Counterexamples are reported, never asserted
+    away.
     """
     part = partition_into_classes(enumerate_mags(n))
     counterexamples = []
@@ -348,21 +353,27 @@ def test_conjecture1(n: int) -> ConjectureReport:
     for cid, keys in enumerate(part.classes):
         members = [part.graphs_by_key[k] for k in keys]
         codes = [m.graph.pair_code for m in members]
-        # legal_moves runs only on members the closure walk did not expand
-        reached, moves, _ = _closure_walk(members[0], len(keys), keyed=False)
-        missed = sum(code not in reached for code in codes)
-        if missed:
-            closure_gaps.append((cid, missed))
-        # Per member, two bits per pair position: its pair code (the marks),
-        # and both bits set where the edge is blanketed, that is directed
-        # and blanketed or bi-directed and blanketed against an endpoint.
-        blanketed = []
+        index = {code: i for i, code in enumerate(codes)}
+        # Per member: the members its moves reach, and both bits of each
+        # pair position where the edge is blanketed, that is directed and
+        # blanketed or bi-directed and blanketed against an endpoint.
+        targets, blanketed = [], []
         for code, m in zip(codes, members):
-            bl = 0
-            for mv in moves[code] if code in moves else legal_moves(m):
+            out, bl = [], 0
+            for mv in legal_moves(m):
+                j = index.get(_moved_code(n, code, mv))
+                if j is not None:
+                    out.append(j)
                 if mv.kind is not MoveKind.REVERSE:
                     bl |= 3 << _pair_shift(n, min(mv.x, mv.y), max(mv.x, mv.y))
+            targets.append(out)
             blanketed.append(bl)
+        reached, frontier = {0}, {0}
+        while frontier:
+            frontier = {j for i in frontier for j in targets[i]} - reached
+            reached |= frontier
+        if len(reached) < len(members):
+            closure_gaps.append((cid, len(members) - len(reached)))
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 diff = codes[i] ^ codes[j]  # nonzero at the delta edges

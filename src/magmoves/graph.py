@@ -309,20 +309,6 @@ class MixedGraph:
         self.check_node(x)
         return frozenset(iter_bits(self._adj[x]))
 
-    # -- bitmask accessors used by the rest of the package ----------------
-
-    def parent_mask(self, x: int) -> int:
-        return self._pa[x]
-
-    def child_mask(self, x: int) -> int:
-        return self._ch[x]
-
-    def spouse_mask(self, x: int) -> int:
-        return self._sp[x]
-
-    def adjacency_mask(self, x: int) -> int:
-        return self._adj[x]
-
     def ancestor_mask(self, x: int) -> int:
         """Bitmask of ancestors of ``x`` (every node with a directed path to
         ``x``, including ``x`` itself)."""

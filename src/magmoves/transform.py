@@ -265,19 +265,25 @@ def _moved_code(n: int, code: int, mv: MoveDescriptor) -> int:
     return code ^ (flip << _pair_shift(n, min(x, y), max(x, y)))
 
 
-def _closure_walk(m: Mag, max_size: int, keyed: bool) -> tuple[dict, dict, bool]:
-    # equivalence_class_closure's walk: by pair code, the members reached and
-    # each expanded member's legal moves; and whether it stopped at max_size.
-    # When ``keyed``, each member's graph also holds its canonical key.
+def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
+    """Breadth-first closure of ``m`` under licensed moves.
+
+    Stops once ``max_size`` graphs have been collected and flags the
+    truncation.  Each move is one ``legal_moves`` entry, so its predicate is
+    not run again.  The walk knows graphs by pair code and patches the moved
+    pair's two bits for a neighbour's: a code it holds is skipped without
+    building a graph or a key, and only a new one is validated as a ``Mag``.
+    """
+    require_mags(m)
+    if not isinstance(max_size, int) or isinstance(max_size, bool) or max_size < 1:
+        raise InputError(f"max_size must be an integer >= 1, got {max_size!r}")
     n = m.n
     seen = {m.graph.pair_code: m}
-    moves: dict[int, list[MoveDescriptor]] = {}
     queue = deque(seen.items())
     truncated = False
     while queue and not truncated:
         code, cur = queue.popleft()
-        moves[code] = legal = legal_moves(cur)
-        for mv in legal:
+        for mv in legal_moves(cur):
             nxt = _moved_code(n, code, mv)
             if nxt in seen:
                 continue
@@ -287,29 +293,11 @@ def _closure_walk(m: Mag, max_size: int, keyed: bool) -> tuple[dict, dict, bool]
             new = _replacement(mv)
             seen[nxt] = member = Mag(cur.graph.with_edge(new))
             queue.append((nxt, member))
-            if keyed:
-                # The member's key is its source's with the pair's token
-                # swapped, cheaper than reading a large graph's rows again.
-                toks = cur.canonical_key().split(";")
-                toks.remove(cur.graph.edge_between(mv.x, mv.y).token())
-                bisect.insort(toks, new.token(), 1)
-                member.graph._key = ";".join(toks)
-    return seen, moves, truncated
-
-
-def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
-    """Breadth-first closure of ``m`` under licensed moves.
-
-    Stops once ``max_size`` graphs have been collected and flags the
-    truncation.  Each move is one ``legal_moves`` entry, so its predicate is
-    not run again.  The walk knows graphs by pair code and patches the moved
-    pair's two bits for a neighbour's: a code it holds is skipped without
-    building a graph or a key, and only a new one is validated as a ``Mag``.
-    The conjecture sweep runs the same walk and reuses the moves it found.
-    """
-    require_mags(m)
-    if not isinstance(max_size, int) or isinstance(max_size, bool) or max_size < 1:
-        raise InputError(f"max_size must be an integer >= 1, got {max_size!r}")
-    seen, _, truncated = _closure_walk(m, max_size, keyed=True)
+            # The member's key is its source's with the pair's token
+            # swapped, cheaper than reading a large graph's rows again.
+            toks = cur.canonical_key().split(";")
+            toks.remove(cur.graph.edge_between(mv.x, mv.y).token())
+            bisect.insort(toks, new.token(), 1)
+            member.graph._key = ";".join(toks)
     graphs = {member.canonical_key(): member for member in seen.values()}
     return ClosureResult(frozenset(graphs), graphs, truncated)

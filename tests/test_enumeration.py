@@ -564,6 +564,21 @@ def _edge_blanketed(m, edge):
     ) or transform.is_blanketed_bidirected_against(m, e.v, e.u)
 
 
+def _public_closure_gaps(n):
+    # (class id, members missed) per class that equivalence_class_closure,
+    # from the class's smallest key, does not cover.
+    part = partition_into_classes(enumeration.enumerate_mags(n))
+    gaps = []
+    for cid, keys in enumerate(part.classes):
+        res = transform.equivalence_class_closure(
+            part.graphs_by_key[keys[0]], max_size=len(keys)
+        )
+        missed = len(set(keys) - res.keys)
+        if missed:
+            gaps.append((cid, missed))
+    return gaps
+
+
 def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
     # Deliberately wrong blanket predicates, so counterexamples exist: a
     # directed edge x -> y is blanketed only when x < y, a bi-directed one
@@ -584,19 +599,59 @@ def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
     assert want
     assert list(rep.counterexamples) == want
     # The denied moves leave members the closure never reaches; the sweep
-    # asks legal_moves itself for those, and counts them as gaps exactly
-    # as the public closure from each class's smallest key misses them.
-    part = partition_into_classes(enumeration.enumerate_mags(4))
-    gaps = []
-    for cid, keys in enumerate(part.classes):
-        res = transform.equivalence_class_closure(
-            part.graphs_by_key[keys[0]], max_size=len(keys)
-        )
-        missed = len(set(keys) - res.keys)
-        if missed:
-            gaps.append((cid, missed))
+    # counts them as gaps exactly as the public closure from each class's
+    # smallest key misses them.
+    gaps = _public_closure_gaps(4)
     assert gaps
     assert list(rep.closure_gaps) == gaps
+
+
+def test_conjecture_closure_is_the_walk_inside_each_class(monkeypatch):
+    # A leaking predicate: x -> y is blanketed exactly when x < y, so some
+    # licensed dir-to-bi moves lead out of the MAGs, some into another
+    # class, and the denied ones leave members unreached.  The sweep's
+    # closure must be the literal walk over apply_move results that stays
+    # inside the class, and its counterexamples the edge-by-edge ones.
+    real = transform._failure
+
+    def leaking(g, kind, x, y):
+        if kind is not transform.MoveKind.DIR_TO_BI:
+            return real(g, kind, x, y)
+        return None if x < y else ("parent", None)
+
+    monkeypatch.setattr(transform, "_failure", leaking)
+    part = partition_into_classes(enumeration.enumerate_mags(4))
+    gaps, no_mag, other_class = [], 0, 0
+    for cid, keys in enumerate(part.classes):
+        reached, todo = {keys[0]}, [keys[0]]
+        while todo:
+            m = part.graphs_by_key[todo.pop()]
+            for mv in transform.legal_moves(m):
+                try:
+                    key = transform.apply_move(m, mv).canonical_key()
+                except InputError:
+                    no_mag += 1
+                    continue
+                if part.class_of[key] != cid:
+                    other_class += 1
+                elif key not in reached:
+                    reached.add(key)
+                    todo.append(key)
+        if len(reached) < len(keys):
+            gaps.append((cid, len(keys) - len(reached)))
+    rep = enumeration.test_conjecture1(4)
+    assert gaps and no_mag and other_class
+    assert list(rep.closure_gaps) == gaps
+    want = _literal_counterexamples(4)
+    assert want
+    assert list(rep.counterexamples) == want
+
+
+@pytest.mark.slow
+def test_conjecture_closure_gaps_match_public_closure_on_every_n5_class():
+    rep = enumeration.test_conjecture1(5)
+    assert rep.class_count == 24_259
+    assert list(rep.closure_gaps) == _public_closure_gaps(5)
 
 
 def test_thm3_sound_reports_what_apply_move_finds(monkeypatch):

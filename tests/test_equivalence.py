@@ -115,8 +115,8 @@ def test_triple_search_matches_oracle_exhaustively(mags_by_n):
         for m in mags_by_n[n]:
             g = m.graph
             for x in range(n):
-                for z in iter_bits(g.parent_mask(x) | g.spouse_mask(x)):
-                    for y in iter_bits(g.adjacency_mask(x) & ~(1 << z)):
+                for z in iter_bits(g._pa[x] | g._sp[x]):
+                    for y in iter_bits(g._adj[x] & ~(1 << z)):
                         assert discriminating_path_exists_for_triple(
                             g, z, x, y
                         ) == discriminating_triple_naive(g, z, x, y), (

@@ -1,14 +1,17 @@
 """Exhaustive enumeration of small MAGs and the sweeps built on it.
 
-Includes the equivalence-class partition, the path-family check behind the
-blanket predicate, the full theorem verification report, and the
-counterexample hunt for the delta-blanket conjecture.  Everything here is
-desk scale: node counts up to five.
+Includes the equivalence-class partition, the table of every MAG that both
+sweeps share, the path-family check behind the blanket predicate, the full
+theorem verification report, and the counterexample hunt for the
+delta-blanket conjecture.  Everything here is desk scale: node counts up
+to five.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from array import array
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
@@ -17,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError
 from .graph import (
-    _BI,
+    _FWD,
     _REV,
     Mag,
     MixedGraph,
@@ -27,10 +30,8 @@ from .graph import (
     iter_bits,
     require_mags,
 )
-from .equivalence import _local_key_ids, _triple_masks
 from .transform import (
     MoveKind,
-    _failure,
     _moved_code,
     apply_move,
     blanketed_bidirected_violation,
@@ -108,13 +109,19 @@ def graph_from_pair_code(
     return MixedGraph._trusted(n, labels, pa, ch, sp, ";".join(toks))
 
 
-def _canonical_order(n: int, codes: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Permutation sorting ``codes`` by canonical key, key rows, token table.
-    # No token is a prefix of another, so keys compare as their sorted token
-    # sequences, a key that runs out first being smaller: that is the order
-    # of the key rows, the sorted token ranks shifted up by one and padded
-    # with 0.  A key is the node count, then ``tokens[r]`` for each rank r.
+def _canonical_order(n: int) -> tuple[np.ndarray, ...]:
+    # The kernel's codes on n nodes, the permutation sorting them by
+    # canonical key, their key rows and the token table.  No token is a
+    # prefix of another, so keys compare as their sorted token sequences, a
+    # key that runs out first being smaller: that is the order of the key
+    # rows, the sorted token ranks shifted up by one and padded with 0.  A
+    # key is the node count, then ``tokens[r]`` for each rank r.
     # A uint8 rank, with 255 for an absent edge, fits the 30 tokens of n = 5.
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= PRACTICAL_MAX_N:
+        raise InputError(
+            f"node count must be between 1 and {PRACTICAL_MAX_N}, got {n!r}"
+        )
+    codes = _kernels.enumerate_mag_codes(n)
     rows = _code_table(n)[1]
     order = sorted(st[0] for row in rows for st in row[1:])
     ranks = np.array(
@@ -128,12 +135,29 @@ def _canonical_order(n: int, codes: np.ndarray) -> tuple[np.ndarray, ...]:
     seq.sort(axis=1)
     seq += 1  # absent edges wrap from 255 to 0
     perm = np.lexsort((codes, *seq.T[::-1]))  # the last key sorts first
-    return perm, seq, np.array([""] + [";" + tok for tok in order])
+    return codes, perm, seq, np.array([""] + [";" + tok for tok in order])
 
 
 # Codes enumerate_mags decodes at a time.  Blocks of 4,096 raised the peak
 # memory of `enumerate --n 5` by about 2 MB and ran no faster.
 _BLOCK = 2048
+
+
+def _checked_mags(
+    n: int, codes: np.ndarray, perm: np.ndarray, seq: np.ndarray, tokens: np.ndarray
+) -> Iterator[Mag]:
+    # The graphs of codes[perm] given _canonical_order(n), each checked by
+    # Mag(): numpy builds a block's node rows and keys, and the graphs are
+    # streamed one at a time.
+    labels = _code_table(n)[0]
+    for start in range(0, perm.shape[0], _BLOCK):
+        block = perm[start : start + _BLOCK]
+        rows = [r.T.tolist() for r in _kernels.node_rows(n, codes[block])]
+        keys = np.full(block.shape[0], str(n))
+        for ranks in seq[block].T:
+            keys = np.char.add(keys, tokens[ranks])
+        for key, pa, ch, sp in zip(keys.tolist(), *rows):
+            yield Mag(MixedGraph._trusted(n, labels, pa, ch, sp, key))
 
 
 def enumerate_mags(n: int) -> Iterator[Mag]:
@@ -145,21 +169,7 @@ def enumerate_mags(n: int) -> Iterator[Mag]:
     the kernel that produced its code; one that fails raises
     :class:`NotAMagError` naming the witness.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= PRACTICAL_MAX_N:
-        raise InputError(
-            f"node count must be between 1 and {PRACTICAL_MAX_N}, got {n!r}"
-        )
-    codes = _kernels.enumerate_mag_codes(n)
-    perm, seq, tokens = _canonical_order(n, codes)
-    labels = _code_table(n)[0]
-    for start in range(0, perm.shape[0], _BLOCK):
-        block = perm[start : start + _BLOCK]
-        rows = [r.T.tolist() for r in _kernels.node_rows(n, codes[block])]
-        keys = np.full(block.shape[0], str(n))
-        for ranks in seq[block].T:
-            keys = np.char.add(keys, tokens[ranks])
-        for key, pa, ch, sp in zip(keys.tolist(), *rows):
-            yield Mag(MixedGraph._trusted(n, labels, pa, ch, sp, key))
+    yield from _checked_mags(n, *_canonical_order(n))
 
 
 @dataclass(frozen=True)
@@ -179,21 +189,13 @@ class ClassPartition:
         return len(self.classes)
 
 
-def _signature_ids(graphs: list[MixedGraph]) -> list[int]:
-    # One id per graph, equal exactly when the separation signatures are:
-    # the signature kernel over the graphs' node rows, its packed bits
-    # compared as one opaque value per graph.
-    n = graphs[0].n if graphs else 0
-    dtype = np.min_scalar_type((1 << n) - 1)  # uint8 up to 8 nodes
-    rows = [
-        np.array([getattr(g, name) for g in graphs], dtype)
-        .reshape(len(graphs), n)
-        .T.copy()
-        for name in ("_pa", "_ch", "_sp")
-    ]
-    bits = np.ascontiguousarray(_kernels.signature_block(*rows))
+def _signature_ids(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    # One id per graph of the node rows (see _kernels.node_rows), equal
+    # exactly when the separation signatures are: the signature kernel's
+    # packed bits compared as one opaque value per graph.
+    bits = np.ascontiguousarray(_kernels.signature_block(pa, ch, sp))
     packed = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-    return np.unique(packed, return_inverse=True)[1].tolist()
+    return np.unique(packed, return_inverse=True)[1]
 
 
 def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
@@ -201,11 +203,11 @@ def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
     if not isinstance(mags, Iterable):
         raise InputError(f"expected an iterable of Mags, got {mags!r}")
     by_key: dict[str, Mag] = {}
-    n = None
+    n = 0
     labels = None
     for m in mags:
         require_mags(m)
-        if n is None:
+        if labels is None:
             n, labels = m.n, m.labels
         elif m.n != n or m.labels != labels:
             raise InputError("all graphs must share the same node set")
@@ -213,15 +215,49 @@ def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
         if key in by_key:
             raise InputError(f"duplicate graph {key}")
         by_key[key] = m
+    dtype = np.min_scalar_type((1 << n) - 1)  # uint8 up to 8 nodes
+    graphs = [m.graph for m in by_key.values()]
+    rows = np.array([(g._pa, g._ch, g._sp) for g in graphs], dtype)
+    rows = rows.reshape(len(graphs), 3, n).transpose(1, 2, 0).copy()
     groups: dict[int, list[str]] = {}
-    ids = _signature_ids([m.graph for m in by_key.values()])
-    for key, sid in zip(by_key, ids):
+    for key, sid in zip(by_key, _signature_ids(*rows).tolist()):
         groups.setdefault(sid, []).append(key)
     classes = tuple(
         tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g))
     )
     class_of = {k: i for i, keys in enumerate(classes) for k in keys}
     return ClassPartition(class_of, classes, by_key)
+
+
+class _SweepTable:
+    """Every MAG on ``n`` nodes by canonical index, its place in
+    canonical-key order: its pair code, node rows (each of shape (n, MAG
+    count)) and class.  Classes are numbered by their smallest canonical
+    index, as in :class:`ClassPartition`; ``members`` lists each class's
+    indices.  ``index`` maps a pair code to its canonical index, so a code
+    missing there is not a MAG.  ``mags`` streams the MAGs in that order,
+    once, as :func:`enumerate_mags` does: each is checked by ``Mag()`` and
+    dropped once the sweep's work on it is done.
+    """
+
+    def __init__(self, n: int) -> None:
+        codes, perm, seq, tokens = _canonical_order(n)
+        self.n, self.codes = n, codes[perm]
+        self.rows = _kernels.node_rows(n, self.codes)
+        _, first, inverse = np.unique(
+            _signature_ids(*self.rows), return_index=True, return_inverse=True
+        )
+        rank = np.argsort(np.argsort(first)).astype(np.int32)  # by first member
+        self.class_id = ids = rank[inverse]
+        by_class = np.argsort(ids, kind="stable")
+        self.members = np.split(by_class, np.cumsum(np.bincount(ids))[:-1])
+        self.index = dict(zip(self.codes.tolist(), range(perm.shape[0])))
+        self.mags = _checked_mags(n, codes, perm, seq, tokens)
+
+
+def _key(n: int, code: int) -> str:
+    # A violation's text names a MAG by the key decoded from its code.
+    return graph_from_pair_code(n, code).canonical_key()
 
 
 def _lemma1_holds(g: MixedGraph, x: int, y: int) -> bool:
@@ -338,71 +374,58 @@ def test_conjecture1(n: int) -> ConjectureReport:
     """Sweep every Markov-equivalent MAG pair on ``n`` nodes for a delta edge
     that is blanketed, and every class for members the move closure misses.
 
-    ``legal_moves`` runs once per MAG.  The closure starts at the smallest
-    key and stays inside the class: a move is followed only when its
-    patched pair code is one of the class's, so no graph is built.  Every
-    member it reaches was checked as a ``Mag`` by ``enumerate_mags``, and
-    a licensed move that leaves its class is a ``thm3_sound`` violation of
-    ``verify_theorems``.  Counterexamples are reported, never asserted
-    away.
+    Each MAG of the sweep table (see ``_SweepTable``) runs ``legal_moves``
+    once while the stream holds it.  What is kept is its blanketed pair
+    positions and the moves whose patched pair code is in its class, so no
+    graph is built.  The closure starts at each class's smallest key and
+    follows those moves; a licensed move that leaves its class is a
+    ``thm3_sound`` violation of ``verify_theorems``.  Counterexamples are
+    reported, never asserted away.
     """
-    part = partition_into_classes(enumerate_mags(n))
+    table = _SweepTable(n)
+    codes = table.codes.tolist()
+    # Per MAG: both bits of each pair position where the edge is blanketed,
+    # that is directed and blanketed or bi-directed and blanketed against an
+    # endpoint; and the moves that reach a MAG, as index pairs.
+    blanketed, src, dst = array("q"), array("i"), array("i")
+    for i, m in enumerate(table.mags):
+        bl = 0
+        for mv in legal_moves(m):
+            j = table.index.get(_moved_code(n, codes[i], mv))
+            if j is not None:
+                src.append(i)
+                dst.append(j)
+            if mv.kind is not MoveKind.REVERSE:
+                bl |= 3 << _pair_shift(n, min(mv.x, mv.y), max(mv.x, mv.y))
+        blanketed.append(bl)
+    src, dst = np.frombuffer(src, np.intc), np.frombuffer(dst, np.intc)
+    inside = table.class_id[src] == table.class_id[dst]  # the closure's moves
+    src, dst = src[inside], dst[inside]
+    reached = np.zeros(len(codes), bool)
+    reached[[members[0] for members in table.members]] = True
+    while (new := dst[reached[src] & ~reached[dst]]).size:
+        reached[new] = True
+    missed = np.bincount(table.class_id[~reached], minlength=len(table.members))
     counterexamples = []
     pairs_examined = 0
-    closure_gaps = []
-    for cid, keys in enumerate(part.classes):
-        members = [part.graphs_by_key[k] for k in keys]
-        codes = [m.graph.pair_code for m in members]
-        index = {code: i for i, code in enumerate(codes)}
-        # Per member: the members its moves reach, and both bits of each
-        # pair position where the edge is blanketed, that is directed and
-        # blanketed or bi-directed and blanketed against an endpoint.
-        targets, blanketed = [], []
-        for code, m in zip(codes, members):
-            out, bl = [], 0
-            for mv in legal_moves(m):
-                j = index.get(_moved_code(n, code, mv))
-                if j is not None:
-                    out.append(j)
-                if mv.kind is not MoveKind.REVERSE:
-                    bl |= 3 << _pair_shift(n, min(mv.x, mv.y), max(mv.x, mv.y))
-            targets.append(out)
-            blanketed.append(bl)
-        reached, frontier = {0}, {0}
-        while frontier:
-            frontier = {j for i in frontier for j in targets[i]} - reached
-            reached |= frontier
-        if len(reached) < len(members):
-            closure_gaps.append((cid, len(members) - len(reached)))
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                diff = codes[i] ^ codes[j]  # nonzero at the delta edges
-                if not diff:
-                    continue
-                pairs_examined += 1
-                if not diff & (blanketed[i] | blanketed[j]):
-                    d = delta(members[i], members[j])
-                    counterexamples.append(
-                        (keys[i], keys[j], tuple(sorted(e.token() for e in d)))
-                    )
+    for members in table.members:
+        cs = table.codes[members].tolist()
+        bs = [blanketed[i] for i in members.tolist()]
+        pairs_examined += len(cs) * (len(cs) - 1) // 2  # codes are distinct
+        for (ci, bi), (cj, bj) in itertools.combinations(zip(cs, bs), 2):
+            if not (ci ^ cj) & (bi | bj):  # the codes differ at the delta edges
+                a, b = (Mag._trusted(graph_from_pair_code(n, c)) for c in (ci, cj))
+                d = tuple(sorted(e.token() for e in delta(a, b)))
+                counterexamples.append((a.canonical_key(), b.canonical_key(), d))
     return ConjectureReport(
         n=n,
-        mag_count=len(part.class_of),
-        class_count=part.class_count,
-        classes_examined=part.class_count,
+        mag_count=len(codes),
+        class_count=len(table.members),
+        classes_examined=len(table.members),
         pairs_examined=pairs_examined,
         counterexamples=tuple(counterexamples),
-        closure_gaps=tuple(closure_gaps),
+        closure_gaps=tuple((c, k) for c, k in enumerate(missed.tolist()) if k),
     )
-
-
-def _class_by_code(part: ClassPartition) -> dict[int, tuple[int, Mag]]:
-    # Pair code -> (class id, Mag) over the partitioned MAGs, in the order
-    # of ``part.graphs_by_key``.
-    return {
-        m.graph.pair_code: (part.class_of[k], m)
-        for k, m in part.graphs_by_key.items()
-    }
 
 
 # Member pairs _bucket_verdicts decides at a time, as block rows times the
@@ -411,27 +434,92 @@ def _class_by_code(part: ClassPartition) -> dict[int, tuple[int, Mag]]:
 _BLOCK_PAIRS = 1 << 14
 
 
-def _bucket_verdicts(graphs: list[MixedGraph]) -> Iterator[np.ndarray]:
-    # The graphical test inside one local-key bucket, as bool blocks of
-    # consecutive member rows over all members.  A pair is equivalent
-    # unless one of its candidate triples (q, b, y) (see _triple_masks)
-    # opens the chain _discriminating_witness looks for: from q along edges
-    # bi-directed in both graphs, through parents of y in both, to a node
-    # with an arrowhead in both from a non-neighbour of y.  All (pair,
-    # triple) items of a block run that search at once on uint8 node masks,
-    # which hold the sweeps' n <= 5.
-    n = graphs[0].n
-    f, c, triples = _triple_masks(graphs)
-    q, y = triples[:, 0], triples[:, 2]
-    pa, sp = (
-        np.array([getattr(g, name) for g in graphs], np.uint8).reshape(-1, n)
-        for name in ("_pa", "_sp")
+def _local_key_ids(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    # One id per graph of the node rows, equal exactly when the graphs'
+    # equivalence._local_key values are: the adjacency rows beside one bit
+    # per (a, z, b), a < b, that is an unshielded collider, compared as one
+    # opaque byte row per graph.
+    n = pa.shape[0]
+    adj, pa, sp = (pa | ch | sp).T, pa.T, sp.T
+    into = pa | sp
+    a, z, b = np.array(
+        [
+            (a, z, b)
+            for z in range(n)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if z not in (a, b)
+        ],
+        dtype=np.uint8,
+    ).reshape(-1, 3).T
+    uc = (into[:, z] >> a) & (into[:, z] >> b) & ~(adj[:, a] >> b) & 1
+    rows = np.ascontiguousarray(np.hstack([adj, np.packbits(uc, axis=1)]))
+    packed = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    return np.unique(packed, return_inverse=True)[1]
+
+
+def _triple_masks(
+    pa: np.ndarray, ch: np.ndarray, sp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two uint64 masks per graph of the node rows over the shared ordered
+    triangle triples, and those triples.
+
+    All the graphs must share one skeleton, so they share the ordered
+    triples ``(q, b, y)`` of pairwise adjacent nodes: at most 60 for five
+    nodes, one bit each (more than 64 is an error), returned as the rows of
+    an int64 array in bit order.  Bit t of ``f[i]`` is set when ``q -> y``
+    and ``b`` has an arrowhead at ``q`` in graph i; bit t of ``c[i]`` when
+    ``b`` is a collider on ``(q, b, y)`` there.  These are the only triples
+    :func:`magmoves.equivalence._discriminating_witness` searches from, so
+    it returns None for graphs i and j whenever ``f[i] & f[j] & (c[i] ^
+    c[j])`` is 0; otherwise the set bits name the triples whose chains
+    decide the pair, which the block search of ``_bucket_verdicts`` follows.
+    """
+    adj = (pa[:, 0] | ch[:, 0] | sp[:, 0]).tolist()
+    triples = np.array(
+        [
+            (q, b, y)
+            for y in range(len(adj))
+            for q in iter_bits(adj[y])
+            for b in iter_bits(adj[q] & adj[y])
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    if len(triples) > 64:
+        raise ValueError(f"{len(triples)} triangle triples exceed one uint64")
+    q, b, y = triples.T
+    pa = pa.T.astype(np.int64)
+    head = pa | sp.T
+    f = (pa[:, y] >> q) & (head[:, q] >> b) & 1
+    c = (head[:, b] >> q) & (head[:, b] >> y) & 1
+    weight = np.uint64(1) << np.arange(len(triples), dtype=np.uint64)
+    return (
+        (f.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
+        (c.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
+        triples,
     )
-    head = pa | sp
+
+
+def _bucket_verdicts(
+    pa: np.ndarray, ch: np.ndarray, sp: np.ndarray
+) -> Iterator[np.ndarray]:
+    # The graphical test inside one local-key bucket, given its members'
+    # node rows, as bool blocks of consecutive member rows over all members.
+    # A pair is equivalent unless one of its candidate triples (q, b, y)
+    # (see _triple_masks) opens the chain _discriminating_witness looks
+    # for: from q along edges bi-directed in both graphs, through parents of
+    # y in both, to a node with an arrowhead in both from a non-neighbour of
+    # y.  All (pair, triple) items of a block run that search at once on
+    # uint8 node masks, which hold the sweeps' n <= 5.
+    n, count = pa.shape
+    f, c, triples = _triple_masks(pa, ch, sp)
+    q, y = triples[:, 0], triples[:, 2]
     node = np.uint8(1) << np.arange(n, dtype=np.uint8)
-    far = ~(np.array(graphs[0]._adj, np.uint8) | node)  # per y
-    size = max(1, _BLOCK_PAIRS // len(graphs))
-    for start in range(0, len(graphs), size):
+    far = ~((pa | ch | sp)[:, 0] | node)  # per y
+    pa, sp = pa.T.copy(), sp.T.copy()  # one row per member
+    head = pa | sp
+    size = max(1, _BLOCK_PAIRS // count)
+    for start in range(0, count, size):
         cand = f[start : start + size, None] & f & (c[start : start + size, None] ^ c)
         block = np.ones(cand.shape, dtype=bool)
         pi, pj = np.nonzero(cand)
@@ -459,22 +547,21 @@ def _bucket_verdicts(graphs: list[MixedGraph]) -> Iterator[np.ndarray]:
         yield block
 
 
-def _oracle_violations(part: ClassPartition) -> list[str]:
+def _oracle_violations(table: _SweepTable) -> list[str]:
     # Where the graphical test disagrees with the signature classes, over
     # every ordered pair, in pair order.  The test is False across local
     # keys, so it runs only inside each key's bucket, where the keys are
     # already equal; across buckets, exactly the pairs in one class
     # disagree.
-    keys = list(part.graphs_by_key)
-    graphs = [m.graph for m in part.graphs_by_key.values()]
-    class_id = np.array([part.class_of[k] for k in keys])
-    bucket_of = _local_key_ids(graphs)
+    pa, ch, sp = table.rows
+    class_id = table.class_id
+    bucket_of = _local_key_ids(pa, ch, sp)
     found = []
     by_bucket = np.argsort(bucket_of, kind="stable")
     for members in np.split(by_bucket, np.cumsum(np.bincount(bucket_of))[:-1]):
         cls = class_id[members]
         start = 0
-        for block in _bucket_verdicts([graphs[i] for i in members]):
+        for block in _bucket_verdicts(pa[:, members], ch[:, members], sp[:, members]):
             rows = members[start : start + len(block)]
             brute = cls[start : start + len(block), None] == cls
             r, j = np.nonzero(block != brute)
@@ -488,10 +575,8 @@ def _oracle_violations(part: ClassPartition) -> list[str]:
             )
             start += len(block)
     bucket_of = bucket_of.tolist()
-    classes: dict[int, list[int]] = {}
-    for i, cid in enumerate(class_id.tolist()):
-        classes.setdefault(cid, []).append(i)
-    for members in classes.values():
+    for members in table.members:
+        members = members.tolist()
         if len({bucket_of[i] for i in members}) > 1:
             found.extend(
                 (i, j, False, True)
@@ -500,8 +585,10 @@ def _oracle_violations(part: ClassPartition) -> list[str]:
                 if bucket_of[i] != bucket_of[j]
             )
     found.sort()
+    n, codes = table.n, table.codes.tolist()
     return [
-        f"{keys[i]} vs {keys[j]}: graphical={graphical} brute={brute}"
+        f"{_key(n, codes[i])} vs {_key(n, codes[j])}: "
+        f"graphical={graphical} brute={brute}"
         for i, j, graphical, brute in found
     ]
 
@@ -513,105 +600,113 @@ def verify_theorems(n: int) -> EquivalenceReport:
     the blanket predicates for mark flips between equivalent MAGs, the
     screened reversal characterization, both path lemmas behind them, and
     agreement of the graphical equivalence test with the brute-force oracle
-    on every ordered pair.  A licensed move's result is found by patching
-    the moved pair in the source's pair code and looking the code up among
-    the enumerated MAGs; only a result missing there or in another class
-    goes through ``apply_move``, which builds the violation text.  Inside
-    each (skeleton, unshielded-collider) bucket, the shared candidate-triple
-    masks of ``_triple_masks`` settle every pair with no triple to search as
+    on every ordered pair.  Each MAG of the sweep table (see
+    ``_SweepTable``) runs ``legal_moves`` once while the stream holds it.  A
+    licensed move's result is found by patching the moved pair in the
+    source's pair code and looking the code up in the table; only a result
+    missing there or in another class goes through ``apply_move``, which
+    builds the violation text.  The mark-flip checks run afterwards over the
+    codes and the recorded move bits.  Inside each (skeleton,
+    unshielded-collider) bucket, the shared candidate-triple masks of
+    ``_triple_masks`` settle every pair with no triple to search as
     equivalent, and the chains of the other pairs' candidate triples are
     searched a block of rows at a time, vectorised over the pairs; the
     verdict on each pair is the one the discriminating-path search alone
     would give, which the tests check on every in-bucket pair at n <= 4
     and, in the slow run, on every candidate pair at n = 5.
     """
-    part = partition_into_classes(enumerate_mags(n))
-    checks = _move_checks(n, part)
+    table = _SweepTable(n)
+    checks = _move_checks(table)
     checks["thm2_vs_oracle"] = CheckOutcome(
-        len(part.class_of) ** 2, tuple(_oracle_violations(part))
+        len(table.codes) ** 2, tuple(_oracle_violations(table))
     )
     return EquivalenceReport(
-        n=n, mag_count=len(part.class_of), class_count=part.class_count, checks=checks
+        n=n, mag_count=len(table.codes), class_count=len(table.members), checks=checks
     )
 
 
-def _move_checks(n: int, part: ClassPartition) -> dict[str, CheckOutcome]:
-    # The per-MAG checks of verify_theorems.  Every MAG on n nodes is in the
-    # enumeration, so a code missing from ``by_code`` is not a MAG and gets
-    # no class.  The dict is freed before the pair check, which sets the
-    # peak memory of the sweep.
-    by_code = _class_by_code(part)
-    no_mag = (None, None)
-
+def _move_checks(table: _SweepTable) -> dict[str, CheckOutcome]:
+    # The per-MAG checks of verify_theorems.  While the stream holds a MAG,
+    # its licensed moves and Lemma 1 are checked, and bit x * n + y of
+    # licensed[i] or screened[i] records a licensed or screened move on
+    # (x, y).  The mark-flip checks then read the bits of the MAG and of its
+    # neighbour across the flipped edge.
+    n, index = table.n, table.index
+    codes, class_of = table.codes.tolist(), table.class_id.tolist()
     names = ("thm3_sound", "thm3_necessary", "thm4_iff", "lemma1", "lemma2")
     cases = dict.fromkeys(names, 0)
     viol: dict[str, list[str]] = {name: [] for name in names}
-    for code, (cid, m) in by_code.items():
-        key = m.canonical_key()
-        blanketed = set()  # (x, y): the edge is blanketed (against x)
-        screened = set()
+    licensed, screened = array("q"), array("q")
+    for i, m in enumerate(table.mags):
+        key, lic, scr = m.canonical_key(), 0, 0
         for mv in legal_moves(m):
             if mv.kind is MoveKind.REVERSE:
-                screened.add((mv.x, mv.y))
+                scr |= 1 << (mv.x * n + mv.y)
                 continue
-            blanketed.add((mv.x, mv.y))
+            lic |= 1 << (mv.x * n + mv.y)
             cases["thm3_sound"] += 1
-            if by_code.get(_moved_code(n, code, mv), no_mag)[0] != cid:
+            j = index.get(_moved_code(n, codes[i], mv))
+            if j is None or class_of[j] != class_of[i]:
                 try:
-                    m2 = apply_move(m, mv)
+                    why = f" -> {apply_move(m, mv).canonical_key()}: not equivalent"
                 except InputError as exc:
-                    viol["thm3_sound"].append(f"{key} {mv}: {exc}")
-                    continue
-                viol["thm3_sound"].append(
-                    f"{key} {mv} -> {m2.canonical_key()}: not equivalent"
-                )
-
-        for i, j, mark in m.graph._marks():
-            u, v = (j, i) if mark == _REV else (i, j)
+                    why = f": {exc}"
+                viol["thm3_sound"].append(f"{key} {mv}{why}")
+        for a, b, mark in m.graph._marks():
+            u, v = (b, a) if mark == _REV else (a, b)
             for x, y in ((u, v), (v, u)):
-                if (x, y) not in blanketed:
-                    continue
-                cases["lemma1"] += 1
-                if not _lemma1_holds(m.graph, x, y):
-                    viol["lemma1"].append(
-                        f"{key}: collider entry paths into {x} "
-                        f"escape the blanket of {y}"
-                    )
-            if mark == _BI:
+                if lic >> (x * n + y) & 1:
+                    cases["lemma1"] += 1
+                    if not _lemma1_holds(m.graph, x, y):
+                        viol["lemma1"].append(
+                            f"{key}: collider entry paths into {x} "
+                            f"escape the blanket of {y}"
+                        )
+        licensed.append(lic)
+        screened.append(scr)
+
+    def report(name: str, code: int, text: str) -> None:
+        viol[name].append(f"{_key(n, code)}: {text}")
+
+    pairs = list(enumerate(_kernels.pair_list(n)))
+    for i, code in enumerate(codes):
+        for p, (a, b) in pairs:
+            mark = code >> 2 * p & 3
+            if mark not in (_FWD, _REV):
                 continue
-            edge_blanketed = (u, v) in blanketed
-            edge_screened = (u, v) in screened
-            shift = _pair_shift(n, i, j)
+            u, v = (a, b) if mark == _FWD else (b, a)
+            bit = 1 << (u * n + v)
+            blanketed, edge_screened = licensed[i] & bit, bool(screened[i] & bit)
 
             # u <-> v sets both bits of the pair; v -> u swaps 1 and 2
-            cid2, m2 = by_code.get(code | 3 << shift, no_mag)
-            if cid2 == cid:
+            j = index.get(code | 3 << 2 * p)
+            if j is not None and class_of[j] == class_of[i]:
                 cases["thm3_necessary"] += 1
-                if not edge_blanketed:
-                    viol["thm3_necessary"].append(
-                        f"{key}: {_token(str(u), str(v), False)} flips but "
-                        "is not blanketed"
-                    )
-                if _failure(m2.graph, MoveKind.BI_TO_DIR, u, v) is not None:
-                    viol["thm3_necessary"].append(
-                        f"{m2.canonical_key()}: {u}<->{v} flips back but is "
-                        f"not blanketed against {u}"
+                if not blanketed:
+                    tok = _token(str(u), str(v), False)
+                    report("thm3_necessary", code, f"{tok} flips but is not blanketed")
+                if not licensed[j] & bit:  # bi-to-dir with u as the tail
+                    report(
+                        "thm3_necessary",
+                        codes[j],
+                        f"{u}<->{v} flips back but is not blanketed against {u}",
                     )
 
             cases["thm4_iff"] += 1
-            same = by_code.get(code ^ 3 << shift, no_mag)[0] == cid
+            j = index.get(code ^ 3 << 2 * p)
+            same = j is not None and class_of[j] == class_of[i]
             if same != edge_screened:
-                viol["thm4_iff"].append(
-                    f"{key}: reversal of {_token(str(u), str(v), False)} "
-                    f"equivalent={same} screened={edge_screened}"
+                tok = _token(str(u), str(v), False)
+                report(
+                    "thm4_iff",
+                    code,
+                    f"reversal of {tok} equivalent={same} screened={edge_screened}",
                 )
 
             if edge_screened:
                 cases["lemma2"] += 1
-                if not edge_blanketed:
-                    viol["lemma2"].append(
-                        f"{key}: {_token(str(u), str(v), False)} screened but "
-                        "not blanketed"
-                    )
+                if not blanketed:
+                    tok = _token(str(u), str(v), False)
+                    report("lemma2", code, f"{tok} screened but not blanketed")
 
     return {k: CheckOutcome(cases[k], tuple(viol[k])) for k in names}

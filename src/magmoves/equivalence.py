@@ -18,9 +18,7 @@ alongside a brute-force oracle that compares full separation signatures.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-
-import numpy as np
+from collections.abc import Callable
 
 from .errors import InputError
 from .graph import (
@@ -66,32 +64,6 @@ def _local_key(g: MixedGraph):
     # Adjacency rows, which stand for the skeleton without a tuple per
     # edge, and unshielded colliders: equivalent MAGs share both.
     return tuple(g._adj), unshielded_colliders(g)
-
-
-def _local_key_ids(graphs: Sequence[MixedGraph]) -> np.ndarray:
-    # One id per graph, equal exactly when the _local_key values are: the
-    # adjacency rows beside one bit per (a, z, b), a < b, that is an
-    # unshielded collider, compared as one opaque byte row per graph.
-    n = graphs[0].n
-    adj, pa, sp = (
-        np.array([getattr(g, name) for g in graphs], np.uint8).reshape(-1, n)
-        for name in ("_adj", "_pa", "_sp")
-    )
-    into = pa | sp
-    a, z, b = np.array(
-        [
-            (a, z, b)
-            for z in range(n)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if z not in (a, b)
-        ],
-        dtype=np.uint8,
-    ).reshape(-1, 3).T
-    uc = (into[:, z] >> a) & (into[:, z] >> b) & ~(adj[:, a] >> b) & 1
-    rows = np.ascontiguousarray(np.hstack([adj, np.packbits(uc, axis=1)]))
-    packed = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    return np.unique(packed, return_inverse=True)[1]
 
 
 def _collider_at(g: MixedGraph, seq: tuple[int, ...], i: int) -> bool:
@@ -248,48 +220,6 @@ def _discriminating_witness(
                 if chain is not None:
                     return (*chain, b, y), collider
     return None
-
-
-def _triple_masks(
-    graphs: Sequence[MixedGraph],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two uint64 masks per graph over the shared ordered triangle triples,
-    and those triples.
-
-    All ``graphs`` must share one skeleton, so they share the ordered
-    triples ``(q, b, y)`` of pairwise adjacent nodes: at most 60 for five
-    nodes, one bit each (more than 64 is an error), returned as the rows of
-    an int64 array in bit order.  Bit t of ``f[i]`` is set when ``q -> y``
-    and ``b`` has an arrowhead at ``q`` in graph i; bit t of ``c[i]`` when
-    ``b`` is a collider on ``(q, b, y)`` there.  These are the only triples
-    :func:`_discriminating_witness` searches from, so it returns None for
-    graphs i and j whenever ``f[i] & f[j] & (c[i] ^ c[j])`` is 0; otherwise
-    the set bits name the triples whose chains decide the pair, which the
-    block search of ``enumeration._bucket_verdicts`` follows.
-    """
-    adj = graphs[0]._adj
-    triples = np.array(
-        [
-            (q, b, y)
-            for y in range(graphs[0].n)
-            for q in iter_bits(adj[y])
-            for b in iter_bits(adj[q] & adj[y])
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    if len(triples) > 64:
-        raise ValueError(f"{len(triples)} triangle triples exceed one uint64")
-    q, b, y = triples.T
-    pa = np.array([g._pa for g in graphs], dtype=np.int64)
-    head = pa | np.array([g._sp for g in graphs], dtype=np.int64)
-    f = (pa[:, y] >> q) & (head[:, q] >> b) & 1
-    c = (head[:, b] >> q) & (head[:, b] >> y) & 1
-    weight = np.uint64(1) << np.arange(len(triples), dtype=np.uint64)
-    return (
-        (f.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
-        (c.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
-        triples,
-    )
 
 
 def equivalence_witness(m1: Mag, m2: Mag) -> str | None:

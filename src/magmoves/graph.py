@@ -312,6 +312,11 @@ class MixedGraph:
     def ancestor_mask(self, x: int) -> int:
         """Bitmask of ancestors of ``x`` (every node with a directed path to
         ``x``, including ``x`` itself)."""
+        self.check_node(x)
+        return self._ancestor_mask(x)
+
+    def _ancestor_mask(self, x: int) -> int:
+        # ancestor_mask for a node the caller knows is in range.
         an = self._an
         cached = an[x]
         if cached is not None:
@@ -484,7 +489,7 @@ def ancestors(g: MixedGraph, x: int) -> frozenset[int]:
     """Nodes with a directed path into ``x``; includes ``x``."""
     require_graph(g)
     g.check_node(x)
-    return frozenset(iter_bits(g.ancestor_mask(x)))
+    return frozenset(iter_bits(g._ancestor_mask(x)))
 
 
 def _directed_path(g: MixedGraph, src: int, dst: int) -> tuple[int, ...]:
@@ -511,13 +516,13 @@ def _ancestral_witness(g: MixedGraph) -> str:
     # directed path between its endpoints.
     edges = g.edges
     for e in edges:
-        if e.kind is EdgeKind.DIRECTED and (g.ancestor_mask(e.u) >> e.v) & 1:
+        if e.kind is EdgeKind.DIRECTED and (g._ancestor_mask(e.u) >> e.v) & 1:
             cycle = _directed_path(g, e.v, e.u) + (e.v,)
             return f"directed cycle {format_path(g, cycle)}"
     for e in edges:
         if e.kind is EdgeKind.BIDIRECTED:
             for a, b in ((e.u, e.v), (e.v, e.u)):
-                if (g.ancestor_mask(b) >> a) & 1:
+                if (g._ancestor_mask(b) >> a) & 1:
                     return (
                         f"bi-directed edge {g.labels[e.u]}<->{g.labels[e.v]} "
                         f"with directed path {format_path(g, _directed_path(g, a, b))}"
@@ -531,7 +536,7 @@ def is_ancestral(g: MixedGraph) -> bool:
     for x in range(g.n):
         # a proper ancestor of x that is also its child closes a cycle; one
         # that is its spouse has a directed path into the bi-directed edge
-        if g.ancestor_mask(x) & ~(1 << x) & (g._ch[x] | g._sp[x]):
+        if g._ancestor_mask(x) & ~(1 << x) & (g._ch[x] | g._sp[x]):
             return False
     return True
 
@@ -558,7 +563,7 @@ def inducing_path_witness(
         raise InputError("inducing path endpoints must differ")
     if g.has_edge(x, y):
         return (x, y)
-    return _inducing_path(g, x, y, g.ancestor_mask(x) | g.ancestor_mask(y))
+    return _inducing_path(g, x, y, g._ancestor_mask(x) | g._ancestor_mask(y))
 
 
 def _inducing_path(
@@ -656,7 +661,7 @@ def _ancestral_maximality_witness(
         firsts = (ch[x] | sp[x]) & paired  # candidates for w1
         if not firsts:
             continue
-        anx = g.ancestor_mask(x)
+        anx = g._ancestor_mask(x)
         lasts = anx & paired & ~(1 << x)  # candidates for wk
         if not lasts:
             continue
@@ -673,7 +678,7 @@ def _ancestral_maximality_witness(
         for w in iter_bits(reach & lasts):
             heads |= pa[w] | sp[w]
         for y in iter_bits(heads & partners):
-            any_y = g.ancestor_mask(y)
+            any_y = g._ancestor_mask(y)
             if firsts & any_y:
                 path = _inducing_path(g, x, y, anx | any_y)
                 if path is not None:

@@ -64,7 +64,7 @@ def _given_masks(g: MixedGraph, given: Iterable[int]) -> tuple[int, int]:
         zmask |= 1 << z
     anz = 0
     for z in iter_bits(zmask):
-        anz |= g.ancestor_mask(z)
+        anz |= g._ancestor_mask(z)
     return zmask, anz
 
 
@@ -305,7 +305,7 @@ def find_separator(g: MixedGraph, x: int, y: int) -> frozenset[int] | None:
         raise InputError("separator endpoints must differ")
     if g.has_edge(x, y):
         raise InputError("adjacent nodes cannot be separated")
-    amask = g.ancestor_mask(x) | g.ancestor_mask(y)
+    amask = g._ancestor_mask(x) | g._ancestor_mask(y)
     rows = _augmented_rows(g, amask)
     if (rows[x] >> y) & 1:
         return None
@@ -330,7 +330,7 @@ def separation_signature(g: MixedGraph) -> int:
             while True:
                 anz = 0
                 for z in iter_bits(zmask):
-                    anz |= g.ancestor_mask(z)
+                    anz |= g._ancestor_mask(z)
                 if _m_connected_masks(g, x, y, zmask, anz):
                     sig |= 1 << pos
                 pos += 1

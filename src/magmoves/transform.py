@@ -124,7 +124,7 @@ def _failure(
     ybit = 1 << y
     if kind is MoveKind.DIR_TO_BI:
         # no directed path x -> c -> ... -> y besides the edge itself
-        detour = g._ch[x] & ~ybit & g.ancestor_mask(y)
+        detour = g._ch[x] & ~ybit & g._ancestor_mask(y)
         if detour:
             return "detour", (detour & -detour).bit_length() - 1
     # Both blankets: parents of x are parents of y, and every spouse of x

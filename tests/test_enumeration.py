@@ -22,13 +22,8 @@ from magmoves import (
     unshielded_colliders,
 )
 from magmoves import _kernels, enumeration, transform
-from magmoves.equivalence import (
-    _discriminating_witness,
-    _head_rows,
-    _local_key,
-    _local_key_ids,
-    _triple_masks,
-)
+from magmoves.enumeration import _local_key_ids, _triple_masks
+from magmoves.equivalence import _discriminating_witness, _head_rows, _local_key
 
 from oracles import lemma1_by_paths
 from random_graphs import mark_change_walk, random_dag
@@ -217,9 +212,9 @@ def test_partition_matches_grouping_by_separation_signature(n, mags_by_n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_code_lookup_membership_equals_is_mag(n, mags_by_n):
-    # the code -> class dict stands in for is_mag after a mark change only
+    # the table's code lookup stands in for is_mag after a mark change only
     # because the enumeration holds every MAG
-    by_code = enumeration._class_by_code(partition_into_classes(mags_by_n[n]))
+    by_code = enumeration._SweepTable(n).index
     assert len(by_code) == len(mags_by_n[n])
     changed = 0
     for m in mags_by_n[n]:
@@ -232,6 +227,35 @@ def test_code_lookup_membership_equals_is_mag(n, mags_by_n):
                 changed += 1
                 assert (new in by_code) == is_mag(graph_from_pair_code(n, new))
     assert changed == len(mags_by_n[n]) * 3 * len(_kernels.pair_list(n))
+
+
+def _assert_table_matches_partition(n, mags):
+    # codes, canonical order, class ids and class numbering of the sweep
+    # table, and its stream, against the public partition
+    table = enumeration._SweepTable(n)
+    part = partition_into_classes(mags)
+    keys = list(part.graphs_by_key)
+    codes = table.codes.tolist()
+    assert keys == sorted(keys)
+    assert [graph_from_pair_code(n, c).canonical_key() for c in codes] == keys
+    assert codes == [m.graph.pair_code for m in part.graphs_by_key.values()]
+    assert table.index == {c: i for i, c in enumerate(codes)}
+    assert table.class_id.tolist() == [part.class_of[k] for k in keys]
+    place = {k: i for i, k in enumerate(keys)}
+    assert [m.tolist() for m in table.members] == [
+        [place[k] for k in c] for c in part.classes
+    ]
+    assert [m.canonical_key() for m in table.mags] == keys
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_table_matches_partition(n, mags_by_n):
+    _assert_table_matches_partition(n, mags_by_n[n])
+
+
+@pytest.mark.slow
+def test_sweep_table_matches_partition_at_n5():
+    _assert_table_matches_partition(5, enumeration.enumerate_mags(5))
 
 
 def test_partition_members_share_skeleton_and_colliders(mags_by_n):
@@ -368,6 +392,21 @@ def test_ancestral_filter_counts_match_kernels():
         assert total == len(list(enumeration.enumerate_mags(n)))
 
 
+def _rows(graphs):
+    # the node rows of graphs, as the sweep table holds them
+    return _kernels.node_rows(graphs[0].n, np.array([g.pair_code for g in graphs]))
+
+
+def _row_graphs(pa, ch, sp):
+    # the graphs of node rows, one per column
+    n = pa.shape[0]
+    labels = tuple(f"V{i}" for i in range(n))
+    return [
+        MixedGraph._trusted(n, labels, *(r.tolist() for r in cols), None)
+        for cols in zip(pa.T, ch.T, sp.T)
+    ]
+
+
 def _full_pair_loop(mags, equivalent, signature):
     # thm2_vs_oracle as the literal loop over every ordered pair
     sigs = [signature(m.graph) for m in mags]
@@ -410,21 +449,22 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
         monkeypatch.setattr(
             enumeration,
             "_bucket_verdicts",
-            lambda graphs: (
+            lambda *rows: (
                 np.array(
                     [[equivalent(Mag._trusted(a), Mag._trusted(b)) for b in graphs]]
                 )
+                for graphs in [_row_graphs(*rows)]
                 for a in graphs
             ),
         )
     if signature is None:
         signature = separation_signature
     else:
-        # the partition groups by the ids of this one seam
+        # the sweep table groups by the ids of this one seam
         monkeypatch.setattr(
             enumeration,
             "_signature_ids",
-            lambda graphs: [signature(g) for g in graphs],
+            lambda *rows: [signature(g) for g in _row_graphs(*rows)],
         )
     want = _full_pair_loop(mags_by_n[3], equivalent, signature)
     got = enumeration.verify_theorems(3).checks["thm2_vs_oracle"]
@@ -436,7 +476,7 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
 def _assert_local_key_ids_match(graphs):
     # the sweep's bucket ids pair off one to one with the local keys
     keys = [_local_key(g) for g in graphs]
-    ids = _local_key_ids(graphs).tolist()
+    ids = _local_key_ids(*_rows(graphs)).tolist()
     assert len(set(zip(keys, ids))) == len(set(keys)) == len(set(ids))
 
 
@@ -453,7 +493,7 @@ def _assert_bucket_verdicts_match_search(mags, rows=None, monkeypatch=None):
         graphs = [m.graph for m in members]
         if rows:
             monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", rows * len(graphs))
-        blocks = list(enumeration._bucket_verdicts(graphs))
+        blocks = list(enumeration._bucket_verdicts(*_rows(graphs)))
         if rows:
             whole, rest = divmod(len(graphs), rows)
             assert [len(b) for b in blocks] == [rows] * whole + [rest] * (rest > 0)
@@ -515,9 +555,10 @@ def test_bucket_verdicts_match_discriminating_search_on_every_n5_mag():
         buckets.setdefault(_local_key(g), []).append(g)
     searches = 0
     for members in buckets.values():
-        f, c, _ = _triple_masks(members)
+        rows = _rows(members)
+        f, c, _ = _triple_masks(*rows)
         heads = [_head_rows(g) for g in members]
-        got = np.vstack(list(enumeration._bucket_verdicts(members)))
+        got = np.vstack(list(enumeration._bucket_verdicts(*rows)))
         for i, g in enumerate(members):
             want = np.ones(len(members), dtype=bool)
             for j in np.flatnonzero(f[i] & f & (c[i] ^ c)):
@@ -534,7 +575,7 @@ def test_triple_masks_stop_at_one_word():
         6, [directed(u, v) for u in range(6) for v in range(u + 1, 6)]
     )
     with pytest.raises(ValueError):
-        _triple_masks([complete])
+        _triple_masks(*_rows([complete]))
 
 
 def _literal_counterexamples(n):
@@ -685,3 +726,104 @@ def test_thm3_sound_reports_what_apply_move_finds(monkeypatch):
     assert 0 < unequal < len(want)
     assert got.cases == cases
     assert list(got.violations) == want
+
+
+def _literal_move_checks(n):
+    # The five per-MAG checks of verify_theorems as a literal loop over the
+    # public partition: every licensed move through apply_move, every mark
+    # flip as a neighbour Mag looked up by its canonical key.
+    part = partition_into_classes(enumeration.enumerate_mags(n))
+    names = ("thm3_sound", "thm3_necessary", "thm4_iff", "lemma1", "lemma2")
+    cases = dict.fromkeys(names, 0)
+    viol = {name: [] for name in names}
+    reverse = transform.MoveKind.REVERSE
+
+    def neighbour(m, edge):
+        g = m.graph.with_edge(edge)
+        if not is_mag(g):
+            return None, None
+        return Mag(g), part.class_of[g.canonical_key()]
+
+    for key, m in part.graphs_by_key.items():
+        cid = part.class_of[key]
+        moves = transform.legal_moves(m)
+        licensed = {(mv.x, mv.y) for mv in moves if mv.kind is not reverse}
+        screened = {(mv.x, mv.y) for mv in moves if mv.kind is reverse}
+        for mv in moves:
+            if mv.kind is reverse:
+                continue
+            cases["thm3_sound"] += 1
+            try:
+                m2 = transform.apply_move(m, mv)
+            except InputError as exc:
+                viol["thm3_sound"].append(f"{key} {mv}: {exc}")
+                continue
+            if part.class_of[m2.canonical_key()] != cid:
+                viol["thm3_sound"].append(
+                    f"{key} {mv} -> {m2.canonical_key()}: not equivalent"
+                )
+        for e in m.edges:
+            for x, y in ((e.u, e.v), (e.v, e.u)):
+                if (x, y) in licensed:
+                    cases["lemma1"] += 1
+                    if not enumeration.check_lemma1(m, x, y):
+                        viol["lemma1"].append(
+                            f"{key}: collider entry paths into {x} "
+                            f"escape the blanket of {y}"
+                        )
+            if e.kind is EdgeKind.BIDIRECTED:
+                continue
+            u, v = e.u, e.v
+            m2, cid2 = neighbour(m, bidirected(u, v))
+            if cid2 == cid:
+                cases["thm3_necessary"] += 1
+                if (u, v) not in licensed:
+                    viol["thm3_necessary"].append(
+                        f"{key}: {u}>{v} flips but is not blanketed"
+                    )
+                back = transform._failure(m2.graph, transform.MoveKind.BI_TO_DIR, u, v)
+                if back is not None:
+                    viol["thm3_necessary"].append(
+                        f"{m2.canonical_key()}: {u}<->{v} flips back but is not "
+                        f"blanketed against {u}"
+                    )
+            cases["thm4_iff"] += 1
+            same = neighbour(m, directed(v, u))[1] == cid
+            if same != ((u, v) in screened):
+                viol["thm4_iff"].append(
+                    f"{key}: reversal of {u}>{v} equivalent={same} "
+                    f"screened={(u, v) in screened}"
+                )
+            if (u, v) in screened:
+                cases["lemma2"] += 1
+                if (u, v) not in licensed:
+                    viol["lemma2"].append(f"{key}: {u}>{v} screened but not blanketed")
+    return cases, viol
+
+
+def test_move_checks_report_what_the_literal_loop_finds(monkeypatch):
+    # Wrong predicates: x -> y is blanketed exactly when x < y, x <-> y
+    # against x never when x < y, and x -> y is screened whenever pa(y)
+    # contains pa(x).  All five checks then find violations, and each must
+    # report, in order, what the literal loop finds, including the flip
+    # back, which asks the patched predicate.
+    real = transform._failure
+
+    def wrong(g, kind, x, y):
+        if kind is transform.MoveKind.REVERSE:
+            return ("parents", None) if g._pa[x] & ~g._pa[y] else None
+        if kind is transform.MoveKind.DIR_TO_BI:
+            return None if x < y else ("parent", None)
+        return ("parent", None) if x < y else real(g, kind, x, y)
+
+    monkeypatch.setattr(transform, "_failure", wrong)
+    cases, viol = _literal_move_checks(4)
+    checks = enumeration.verify_theorems(4).checks
+    for name in cases:
+        assert checks[name].cases == cases[name], name
+        assert list(checks[name].violations) == viol[name], name
+        assert viol[name], name
+    texts = viol["thm3_necessary"]
+    assert any("flips but" in t for t in texts)
+    assert any("flips back" in t for t in texts)
+    assert any(t.endswith(": not equivalent") for t in viol["thm3_sound"])

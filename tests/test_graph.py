@@ -170,6 +170,13 @@ def test_public_calls_raise_input_error_on_ill_typed_arguments(call):
         call()
 
 
+@pytest.mark.parametrize("bad", [5, "a", -1, True])
+def test_ancestor_mask_rejects_unknown_nodes(bad):
+    g = MixedGraph(2, [directed(0, 1)])
+    with pytest.raises(InputError):
+        g.ancestor_mask(bad)
+
+
 def test_edge_rejects_ill_typed_endpoints():
     for build in (
         lambda: bidirected("a", 1),

@@ -9,8 +9,8 @@ to five.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import sys
 from array import array
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
@@ -20,12 +20,15 @@ import numpy as np
 from . import _kernels
 from .errors import InputError
 from .graph import (
+    _BI,
     _FWD,
     _REV,
     Mag,
     MixedGraph,
     _check_labels,
+    _pair_edge,
     _pair_shift,
+    _put_edge,
     _token,
     iter_bits,
     require_mags,
@@ -57,56 +60,38 @@ __all__ = [
 PRACTICAL_MAX_N = 5
 
 
-@functools.lru_cache(maxsize=None)
-def _code_table(n: int) -> tuple[tuple[str, ...], tuple]:
-    # Everything decoding needs at one node count: the default labels, and
-    # per pair position the (token, tail, tail bit, head, head bit) of
-    # states 1..3 (bi-directed edges run tail u to head v too).
-    rows = []
-    for u, v in _kernels.pair_list(n):
-        bu, bv, su, sv = 1 << u, 1 << v, str(u), str(v)
-        rows.append(
-            (
-                None,
-                (_token(su, sv, False), u, bu, v, bv),
-                (_token(sv, su, False), v, bv, u, bu),
-                (_token(su, sv, True), u, bu, v, bv),
-            )
-        )
-    return tuple(f"V{i}" for i in range(n)), tuple(rows)
-
-
 def graph_from_pair_code(
     n: int, code: int, labels: Iterable[str] | None = None
 ) -> MixedGraph:
-    """Decode a base-4 pair-state code (see :mod:`magmoves._kernels`)."""
+    """Decode a base-4 pair-state code (see :mod:`magmoves._kernels`),
+    walking the pairs a row ``(u, u + 1), ..., (u, n - 1)`` at a time and
+    only up to the code's highest set pair."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InputError(f"node count must be a non-negative integer, got {n!r}")
+    if n > sys.maxsize:
+        raise InputError(f"node count must be at most {sys.maxsize}, got {n}")
     if type(code) is not int:
         if not isinstance(code, np.integer):
             raise InputError(f"pair code must be an integer, got {code!r}")
         code = int(code)
-    default, rows = _code_table(n)
-    pa, ch, sp = [0] * n, [0] * n, [0] * n
-    toks = [str(n)]
-    rest = code
-    for row in rows:
-        s = rest & 3
-        rest >>= 2
-        if s:
-            tok, a, abit, b, bbit = row[s]
-            toks.append(tok)
-            if s == 3:
-                sp[a] |= bbit
-                sp[b] |= abit
-            else:
-                ch[a] |= bbit
-                pa[b] |= abit
-    if rest:  # bits above the last pair, or a negative code
+    if code < 0 or code >> n * (n - 1):
         raise InputError(f"pair code {code} is out of range for {n} nodes")
-    toks[1:] = sorted(toks[1:])
-    labels = default if labels is None else _check_labels(n, labels)
-    return MixedGraph._trusted(n, labels, pa, ch, sp, ";".join(toks))
+    pa, ch, sp = [0] * n, [0] * n, [0] * n
+    toks, rest, u = [], code, 0
+    while rest:
+        width = 2 * (n - u - 1)
+        row, rest, v = rest & ((1 << width) - 1), rest >> width, u + 1
+        while row:
+            if s := row & 3:
+                a, b = (v, u) if s == _REV else (u, v)
+                _put_edge(pa, ch, sp, a, b, s == _BI)
+                toks.append(_token(str(a), str(b), s == _BI))
+            row >>= 2
+            v += 1
+        u += 1
+    toks.sort()
+    key = ";".join([str(n), *toks])
+    return MixedGraph._trusted(n, _check_labels(n, labels), pa, ch, sp, key)
 
 
 def _canonical_order(n: int) -> tuple[np.ndarray, ...]:
@@ -122,11 +107,13 @@ def _canonical_order(n: int) -> tuple[np.ndarray, ...]:
             f"node count must be between 1 and {PRACTICAL_MAX_N}, got {n!r}"
         )
     codes = _kernels.enumerate_mag_codes(n)
-    rows = _code_table(n)[1]
-    order = sorted(st[0] for row in rows for st in row[1:])
+    rows = [
+        [_pair_edge(u, v, s).token() for s in (_FWD, _REV, _BI)]
+        for u, v in _kernels.pair_list(n)
+    ]
+    order = sorted(tok for row in rows for tok in row)
     ranks = np.array(
-        [[255] + [order.index(st[0]) for st in row[1:]] for row in rows],
-        np.uint8,
+        [[255] + [order.index(tok) for tok in row] for row in rows], np.uint8
     ).reshape(-1, 4)
     m = ranks.shape[0]
     seq = np.empty((codes.shape[0], m), np.uint8)
@@ -149,7 +136,7 @@ def _checked_mags(
     # The graphs of codes[perm] given _canonical_order(n), each checked by
     # Mag(): numpy builds a block's node rows and keys, and the graphs are
     # streamed one at a time.
-    labels = _code_table(n)[0]
+    labels = _check_labels(n, None)
     for start in range(0, perm.shape[0], _BLOCK):
         block = perm[start : start + _BLOCK]
         rows = [r.T.tolist() for r in _kernels.node_rows(n, codes[block])]

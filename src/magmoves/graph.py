@@ -14,6 +14,8 @@ cheap without any compiled code.
 from __future__ import annotations
 
 import enum
+import sys
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -166,9 +168,7 @@ class MixedGraph:
         "_sp",
         "_adj",
         "_an",
-        "_skel",
         "_key",
-        "_hash",
         "_sig",
         "_uc",
     )
@@ -183,6 +183,8 @@ class MixedGraph:
             raise InputError(f"node count must be an integer, got {n!r}")
         if n < 0:
             raise InputError(f"node count must be non-negative, got {n}")
+        if n > sys.maxsize:
+            raise InputError(f"node count must be at most {sys.maxsize}, got {n}")
         pa, ch, sp = [0] * n, [0] * n, [0] * n
         if not isinstance(edges, Iterable):
             raise InputError(f"edges must be an iterable, got {edges!r}")
@@ -223,9 +225,7 @@ class MixedGraph:
         self._sp = sp
         self._adj = [a | c | s for a, c, s in zip(pa, ch, sp)]
         self._an: list[int | None] = [None] * n
-        self._skel: frozenset[tuple[int, int]] | None = None
         self._key = key
-        self._hash: int | None = None
         self._sig: int | None = None
         self._uc: frozenset[tuple[int, int, int]] | None = None
 
@@ -341,9 +341,7 @@ class MixedGraph:
 
     def skeleton(self) -> frozenset[tuple[int, int]]:
         """Adjacent pairs ``(i, j)`` with ``i < j``, ignoring marks."""
-        if self._skel is None:
-            self._skel = frozenset((i, j) for i, j, _ in self._marks())
-        return self._skel
+        return frozenset((i, j) for i, j, _ in self._marks())
 
     def with_edge(self, edge: Edge) -> "MixedGraph":
         """Copy of this graph with the edge on ``edge.pair`` replaced (or
@@ -386,9 +384,7 @@ class MixedGraph:
         return self.n == other.n and self._pa == other._pa and self._sp == other._sp
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.pair_code))
-        return self._hash
+        return hash((self.n, self.pair_code))
 
     def __repr__(self) -> str:
         return f"MixedGraph({self.canonical_key()!r})"
@@ -570,43 +566,27 @@ def _inducing_path(
     g: MixedGraph, x: int, y: int, anxy: int
 ) -> tuple[int, ...] | None:
     # inducing_path_witness for distinct, valid, non-adjacent x and y, with
-    # ``anxy`` the union of their ancestor masks.  A bitmask sweep over the
-    # bi-directed core keeps each breadth-first frontier; only on a hit are
-    # they replayed in queue order, so the path is the one a node-by-node
-    # BFS finds (first accepted node, first-discovered parents).
+    # ``anxy`` the union of their ancestor masks.  Breadth-first search over
+    # the bi-directed core, taking nodes in ascending order: it starts at the
+    # nodes with an arrowhead on their edge from x and accepts the first node
+    # it pops with an arrowhead on its edge from y.
     allowed = anxy & ~((1 << x) | (1 << y))
-    accept = (g._ch[y] | g._sp[y]) & allowed  # arrowhead at w on the (w, y) edge
-    cur = (g._ch[x] | g._sp[x]) & allowed  # arrowhead at w on the (x, w) edge
+    accept = (g._ch[y] | g._sp[y]) & allowed
     sp = g._sp
-    seen = 0
-    levels = []
-    while cur:
-        levels.append(cur)
-        if cur & accept:
-            break
-        seen |= cur
-        nxt = 0
-        while cur:
-            low = cur & -cur
-            nxt |= sp[low.bit_length() - 1]
-            cur ^= low
-        cur = nxt & allowed & ~seen
-    else:
-        return None
-    order = list(iter_bits(levels[0]))
-    parent = dict.fromkeys(order, x)
-    for level in levels[1:]:
-        found = []
-        for w in order:
-            for v in iter_bits(sp[w] & level):
+    parent = dict.fromkeys(iter_bits((g._ch[x] | g._sp[x]) & allowed), x)
+    queue = deque(parent)
+    while queue:
+        w = queue.popleft()
+        if (accept >> w) & 1:
+            path = [y, w]
+            while path[-1] != x:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for v in iter_bits(sp[w] & allowed):
+            if v not in parent:
                 parent[v] = w
-                found.append(v)
-            level &= ~sp[w]
-        order = found
-    path = [y, next(w for w in order if (accept >> w) & 1)]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+                queue.append(v)
+    return None
 
 
 def maximality_witness(

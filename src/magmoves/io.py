@@ -97,6 +97,8 @@ def graph_to_json_dict(g: MixedGraph) -> dict:
 def graph_to_json(g: MixedGraph, indent: int | str | None = 2) -> str:
     if isinstance(indent, bool) or not isinstance(indent, (int, str, type(None))):
         raise InputError(f"indent must be None, an int or a str, got {indent!r}")
+    if isinstance(indent, int) and indent > sys.maxsize:
+        raise InputError(f"indent must be at most {sys.maxsize}, got {indent}")
     return json.dumps(graph_to_json_dict(g), indent=indent)
 
 

@@ -5,9 +5,9 @@ directed, and reverse a directed edge.  The first two are licensed by a
 blanket predicate on the edge, the third by an exact parent/spouse match
 between the endpoints.  One search, ``_failure``, decides every predicate
 and returns the first failing clause as a small tuple; ``legal_moves`` and
-the ``is_*`` predicates only test it against None, and only the
-``*_violation`` functions, which ``apply_move`` uses for its rejection
-message, turn it into text.  Applying a licensed move always yields a MAG
+the ``is_*`` predicates only test it against None, and only ``_violation``,
+behind the ``*_violation`` functions and ``apply_move``'s rejection message,
+turns it into text.  Applying a licensed move always yields a MAG
 again; ``apply_move`` re-validates the result anyway.  The closure walk
 knows graphs by their base-4 pair code: it validates each graph it has not
 reached before exactly once, and skips a move that leads back to a code it
@@ -80,20 +80,14 @@ class ClosureResult:
     truncated: bool
 
 
-def _require_directed(m: Mag, x: int, y: int) -> None:
+def _require_edge(m: Mag, kind: MoveKind, x: int, y: int) -> None:
+    # Raise unless ``m`` has the edge ``kind`` acts on: x <-> y for
+    # BI_TO_DIR, else x -> y.
     require_mags(m)
-    if not m.graph.is_parent(x, y):
-        raise InputError(
-            f"expected the directed edge {m.labels[x]} -> {m.labels[y]}"
-        )
-
-
-def _require_bidirected(m: Mag, x: int, y: int) -> None:
-    require_mags(m)
-    if not m.graph.is_spouse(x, y):
-        raise InputError(
-            f"expected the bi-directed edge {m.labels[x]} <-> {m.labels[y]}"
-        )
+    bi = kind is MoveKind.BI_TO_DIR
+    if not (m.graph.is_spouse if bi else m.graph.is_parent)(x, y):
+        edge = "bi-directed edge {} <-> {}" if bi else "directed edge {} -> {}"
+        raise InputError(f"expected the {edge.format(m.labels[x], m.labels[y])}")
 
 
 # The clauses a licensing predicate can fail on; ``z`` names the offending
@@ -142,6 +136,7 @@ def _failure(
 
 
 def _violation(m: Mag, kind: MoveKind, x: int, y: int) -> str | None:
+    _require_edge(m, kind, x, y)
     bad = _failure(m.graph, kind, x, y)
     if bad is None:
         return None
@@ -155,36 +150,33 @@ def _violation(m: Mag, kind: MoveKind, x: int, y: int) -> str | None:
 def blanketed_directed_violation(m: Mag, x: int, y: int) -> str | None:
     """None when the directed edge ``x -> y`` is blanketed, else the first
     failing clause."""
-    _require_directed(m, x, y)
     return _violation(m, MoveKind.DIR_TO_BI, x, y)
 
 
 def blanketed_bidirected_violation(m: Mag, x: int, y: int) -> str | None:
     """None when the bi-directed edge between ``x`` and ``y`` is blanketed
     against ``x``, else the first failing clause."""
-    _require_bidirected(m, x, y)
     return _violation(m, MoveKind.BI_TO_DIR, x, y)
 
 
 def is_blanketed_directed(m: Mag, x: int, y: int) -> bool:
-    _require_directed(m, x, y)
+    _require_edge(m, MoveKind.DIR_TO_BI, x, y)
     return _failure(m.graph, MoveKind.DIR_TO_BI, x, y) is None
 
 
 def is_blanketed_bidirected_against(m: Mag, x: int, y: int) -> bool:
-    _require_bidirected(m, x, y)
+    _require_edge(m, MoveKind.BI_TO_DIR, x, y)
     return _failure(m.graph, MoveKind.BI_TO_DIR, x, y) is None
 
 
 def screened_violation(m: Mag, x: int, y: int) -> str | None:
     """None when ``x -> y`` is screened: parents of ``y`` are exactly the
     parents of ``x`` plus ``x``, and spouses coincide."""
-    _require_directed(m, x, y)
     return _violation(m, MoveKind.REVERSE, x, y)
 
 
 def is_screened(m: Mag, x: int, y: int) -> bool:
-    _require_directed(m, x, y)
+    _require_edge(m, MoveKind.REVERSE, x, y)
     return _failure(m.graph, MoveKind.REVERSE, x, y) is None
 
 
@@ -207,15 +199,9 @@ def apply_move(m: Mag, move: MoveDescriptor) -> Mag:
     require_mags(m)
     if not isinstance(move, MoveDescriptor):
         raise InputError(f"expected a MoveDescriptor, got {move!r}")
-    x, y = move.x, move.y
-    if move.kind is MoveKind.DIR_TO_BI:
-        reason = blanketed_directed_violation(m, x, y)
-    elif move.kind is MoveKind.BI_TO_DIR:
-        reason = blanketed_bidirected_violation(m, x, y)
-    elif move.kind is MoveKind.REVERSE:
-        reason = screened_violation(m, x, y)
-    else:
+    if not isinstance(move.kind, MoveKind):
         raise InputError(f"unknown move kind {move.kind!r}")
+    reason = _violation(m, move.kind, move.x, move.y)
     if reason is not None:
         label = "not screened" if move.kind is MoveKind.REVERSE else "not blanketed"
         raise MoveRejectedError(f"{label}: {reason}")

@@ -96,6 +96,31 @@ def inducing_path_exists_naive(g: MixedGraph, x: int, y: int) -> bool:
     return False
 
 
+def inducing_path_bfs(g: MixedGraph, x: int, y: int) -> tuple[int, ...] | None:
+    """The inducing path from ``x`` to a non-adjacent ``y`` that a
+    node-by-node breadth-first search finds, or None.  Internal nodes are
+    ancestors of ``x`` or ``y`` other than the two.  The search starts at
+    the children and spouses of ``x`` among them, steps along spouse edges,
+    takes each node's successors in ascending order, and accepts the first
+    node it pops that is a child or spouse of ``y``."""
+    allowed = (ancestors_dfs(g, x) | ancestors_dfs(g, y)) - {x, y}
+    ends = (g.children(y) | g.spouses(y)) & allowed
+    parent = {w: x for w in sorted((g.children(x) | g.spouses(x)) & allowed)}
+    queue = deque(parent)
+    while queue:
+        w = queue.popleft()
+        if w in ends:
+            path = [y, w]
+            while path[-1] != x:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for v in sorted(g.spouses(w) & allowed):
+            if v not in parent:
+                parent[v] = w
+                queue.append(v)
+    return None
+
+
 def maximality_witness_all_pairs(g: MixedGraph):
     """Search every non-adjacent pair ``x < y`` in ascending order for an
     inducing path; the first pair found, with its path, or None."""

@@ -85,7 +85,7 @@ def test_decoder_labels():
     for bad in (("X",), ("X", "X")):
         with pytest.raises(InputError):
             graph_from_pair_code(2, 1, labels=bad)
-    for bad_n in (-1, 2.0, True):
+    for bad_n in (-1, 2.0, True, 2**70):
         with pytest.raises(InputError):
             graph_from_pair_code(bad_n, 0)
 
@@ -98,7 +98,17 @@ def test_decoder_rejects_bad_codes(n, code):
         graph_from_pair_code(n, code)
 
 
-@pytest.mark.parametrize("n, code, key", [(14, 0, "14"), (14, 3 << 180, "14;12<>13")])
+@pytest.mark.parametrize(
+    "n, code, key",
+    [
+        (14, 0, "14"),
+        (14, 3 << 180, "14;12<>13"),
+        (1000, 1, "1000;0>1"),
+        pytest.param(
+            1000, 3 << 2 * (1000 * 999 // 2 - 1), "1000;998<>999", id="1000-last-pair"
+        ),
+    ],
+)
 def test_decoder_handles_large_n(n, code, key):
     assert graph_from_pair_code(n, code).canonical_key() == key
 

@@ -43,6 +43,7 @@ from magmoves.graph import inducing_path_witness, mag_violation, maximality_witn
 
 from oracles import (
     ancestors_dfs,
+    inducing_path_bfs,
     inducing_path_exists_naive,
     is_ancestral_naive,
     is_inducing_path,
@@ -76,7 +77,7 @@ def test_construction_rejects_bad_labels():
 
 
 def test_construction_rejects_ill_typed_arguments():
-    for n in (2.5, "2", None, True):
+    for n in (2.5, "2", None, True, 2**70):
         with pytest.raises(InputError, match="node count"):
             MixedGraph(n)
     for edge in (
@@ -303,9 +304,26 @@ def test_inducing_path_witness_satisfies_definition_exhaustively():
                     assert (path is None) == (
                         not inducing_path_exists_naive(g, x, y)
                     ), (n, code, x, y)
+                    assert path == inducing_path_bfs(g, x, y), (n, code, x, y)
                     if path is not None:
                         assert path[0] == x and path[-1] == y, (n, code, path)
                         assert is_inducing_path(g, path), (n, code, path)
+
+
+def test_inducing_path_witness_is_the_bfs_path_at_scale():
+    # The witness texts of validate and Mag() print this path, so which path
+    # is found is pinned, not only that it is one.  Dense graphs, for long
+    # inducing paths; in an ancestral graph none has a single internal node.
+    rng = random.Random(2022)
+    lengths = set()
+    for _ in range(20):
+        g = random_ancestral(rng, rng.randint(20, 60), rng.randint(8, 18))
+        for x, y in itertools.permutations(range(g.n), 2):
+            if not g.has_edge(x, y):
+                path = inducing_path_witness(g, x, y)
+                assert path == inducing_path_bfs(g, x, y), (x, y)
+                lengths.add(None if path is None else len(path))
+    assert {None, 4, 5, 6, 7} <= lengths
 
 
 def test_mag_constructor_matches_literal_oracles_exhaustively():

@@ -216,6 +216,6 @@ def test_load_graph_rejects_non_paths_and_keeps_descriptors_open():
 def test_graph_to_json_rejects_bad_indent(g_edge):
     assert "\n" not in graph_to_json(g_edge, indent=None)
     assert "\n\t" in graph_to_json(g_edge, indent="\t")
-    for bad in ((0,), 1.5, True, [2]):
+    for bad in ((0,), 1.5, True, [2], 2**70):
         with pytest.raises(InputError, match="indent"):
             graph_to_json(g_edge, indent=bad)

@@ -126,9 +126,34 @@ def test_apply_rejection_names_the_clause(g_unshared_parent):
 
 
 def test_apply_missing_edge_is_input_error(g_edge):
-    m = Mag(g_edge)
-    with pytest.raises(InputError, match="expected the bi-directed edge"):
-        apply_move(m, MoveDescriptor(MoveKind.BI_TO_DIR, 0, 1))
+    # Every move kind and predicate, on the wrong edge type and on no edge.
+    dir_text = "^expected the directed edge X -> Y$"
+    bi_text = "^expected the bi-directed edge X <-> Y$"
+    on_dir, on_bi, on_none = (
+        Mag(MixedGraph(2, edges, labels=g_edge.labels))
+        for edges in (g_edge.edges, [bidirected(0, 1)], [])
+    )
+    for call, wrong, text in [
+        (is_blanketed_directed, on_bi, dir_text),
+        (blanketed_directed_violation, on_bi, dir_text),
+        (is_screened, on_bi, dir_text),
+        (screened_violation, on_bi, dir_text),
+        (is_blanketed_bidirected_against, on_dir, bi_text),
+        (blanketed_bidirected_violation, on_dir, bi_text),
+    ]:
+        for m in (wrong, on_none):
+            with pytest.raises(InputError, match=text):
+                call(m, 0, 1)
+    for kind, wrong, text in [
+        (MoveKind.DIR_TO_BI, on_bi, dir_text),
+        (MoveKind.REVERSE, on_bi, dir_text),
+        (MoveKind.BI_TO_DIR, on_dir, bi_text),
+    ]:
+        for m in (wrong, on_none):
+            with pytest.raises(InputError, match=text):
+                apply_move(m, MoveDescriptor(kind, 0, 1))
+    with pytest.raises(InputError, match="^unknown move kind 'reverse'$"):
+        apply_move(on_dir, MoveDescriptor("reverse", 0, 1))
 
 
 def test_legal_moves_single_edge(g_edge):

@@ -5,7 +5,7 @@ bi-directed), so a graph on n nodes is a base-4 code over n(n-1)/2 pairs:
 state ``s`` of pair ``p`` sits in bits ``2p, 2p+1``, with 1 for ``u -> v``,
 2 for ``v -> u`` and 3 for ``u <-> v`` on the pair ``(u, v)``, ``u < v``.
 
-Both kernels hold a block of graphs as one unsigned row array per node for
+The kernels hold a block of graphs as one unsigned row array per node for
 its parents, children and spouses (bit ``w`` of entry ``g`` set when node
 ``w`` is one in graph ``g``), and close the parent rows into ancestor rows
 by Warshall's algorithm.  :func:`node_rows` builds these rows from a block
@@ -19,6 +19,10 @@ of codes, for the enumeration scan and for decoding its MAGs.
   :func:`magmoves.separation.separation_signature` for every query
   ``(x, y, Z)`` at once over the block, and packs the verdicts into bytes
   in that function's bit order.
+* The move kernel decides the predicates of
+  :func:`magmoves.transform.legal_moves` on every ordered pair at once,
+  following spouse chains by :func:`chain_reach`: the chain search of
+  :func:`magmoves.equivalence._entry_chain` from all its seeds at once.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import numpy as np
 
 __all__ = [
     "USING_NUMBA",
+    "chain_reach",
     "enumerate_mag_codes",
+    "move_block",
     "node_rows",
     "pair_list",
     "signature_block",
@@ -61,6 +67,15 @@ def _ancestor_rows(pa: list[np.ndarray]) -> list[np.ndarray]:
         for x in range(len(an)):
             an[x] |= an[k] & -((an[x] >> k) & 1)
     return an
+
+
+def chain_reach(sp: np.ndarray, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per graph, the nodes of ``seed & allowed`` and those reached from them
+    along the spouse rows ``sp`` (one per node) without leaving ``allowed``."""
+    reach = seed & allowed
+    while not np.array_equal(grown := reach | _spread(sp, reach) & allowed, reach):
+        reach = grown
+    return reach
 
 
 def node_rows(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,6 +164,35 @@ def signature_block(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarra
             out[pos >> 3] |= hit.astype(np.uint8) << (pos & 7)
             pos += 1
     return out.T
+
+
+def move_block(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> tuple:
+    """Three uint64 arrays, one entry per graph of the node rows (as for
+    :func:`signature_block`, n <= 8), with bit ``x * n + y`` set where
+    ``transform._failure`` passes ``DIR_TO_BI`` on ``x -> y``, ``BI_TO_DIR``
+    on ``x <-> y`` with ``x`` the tail, and ``REVERSE`` on ``x -> y``."""
+    n, one = pa.shape[0], pa.dtype.type(1)
+    an, head = _ancestor_rows(list(pa)), ch | sp  # arrowhead at the far end
+    out = np.zeros((3, pa.shape[1]), np.uint64)
+    for x, y in [(x, y) for x in range(n) for y in range(n) if x != y]:
+        xbit, ybit = one << x, one << y
+        # Both blankets: the parents of x, and its spouses that are not
+        # spouses of y, are parents of y, and no spouse chain inside the
+        # parents of y runs from those spouses to a node with an arrowhead
+        # from a non-neighbour of y.  Every spouse searches the same nodes,
+        # so one search from all of them reaches the union of their chains.
+        spouses = sp[x] & ~ybit & ~sp[y]
+        chain = chain_reach(sp, spouses, pa[y] & ~(xbit | ybit))
+        hits = _spread(head, ~(pa[y] | head[y] | ybit))
+        blanket = ((pa[x] | spouses) & ~pa[y] | chain & hits) == 0
+        tail = ch[x] & ybit != 0
+        ok = (
+            tail & blanket & (ch[x] & ~ybit & an[y] == 0),  # no detour to y
+            (sp[x] & ybit != 0) & blanket,  # x <-> y
+            tail & (pa[y] == pa[x] | xbit) & (sp[y] == sp[x]),  # screened
+        )
+        out |= np.array(ok, np.uint64) << np.uint64(x * n + y)
+    return tuple(out)
 
 
 def enumerate_mag_codes(n: int) -> np.ndarray:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import sys
-from array import array
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, _shown
 from .graph import (
     _BI,
     _FWD,
@@ -34,13 +33,14 @@ from .graph import (
     require_mags,
 )
 from .transform import (
+    _RANKED_KINDS,
+    MoveDescriptor,
     MoveKind,
     _moved_code,
     apply_move,
     blanketed_bidirected_violation,
     blanketed_directed_violation,
     delta,
-    legal_moves,
 )
 
 __all__ = [
@@ -67,15 +67,15 @@ def graph_from_pair_code(
     walking the pairs a row ``(u, u + 1), ..., (u, n - 1)`` at a time and
     only up to the code's highest set pair."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InputError(f"node count must be a non-negative integer, got {n!r}")
+        raise InputError(f"node count must be a non-negative integer, got {_shown(n)}")
     if n > sys.maxsize:
-        raise InputError(f"node count must be at most {sys.maxsize}, got {n}")
+        raise InputError(f"node count must be at most {sys.maxsize}, got {_shown(n)}")
     if type(code) is not int:
         if not isinstance(code, np.integer):
-            raise InputError(f"pair code must be an integer, got {code!r}")
+            raise InputError(f"pair code must be an integer, got {_shown(code)}")
         code = int(code)
     if code < 0 or code >> n * (n - 1):
-        raise InputError(f"pair code {code} is out of range for {n} nodes")
+        raise InputError(f"pair code {_shown(code)} is out of range for {n} nodes")
     pa, ch, sp = [0] * n, [0] * n, [0] * n
     toks, rest, u = [], code, 0
     while rest:
@@ -104,7 +104,7 @@ def _canonical_order(n: int) -> tuple[np.ndarray, ...]:
     # A uint8 rank, with 255 for an absent edge, fits the 30 tokens of n = 5.
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= PRACTICAL_MAX_N:
         raise InputError(
-            f"node count must be between 1 and {PRACTICAL_MAX_N}, got {n!r}"
+            f"node count must be between 1 and {PRACTICAL_MAX_N}, got {_shown(n)}"
         )
     codes = _kernels.enumerate_mag_codes(n)
     rows = [
@@ -188,7 +188,7 @@ def _signature_ids(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarray
 def partition_into_classes(mags: Iterable[Mag]) -> ClassPartition:
     """Group MAGs by separation signature (definitional equivalence)."""
     if not isinstance(mags, Iterable):
-        raise InputError(f"expected an iterable of Mags, got {mags!r}")
+        raise InputError(f"expected an iterable of Mags, got {_shown(mags)}")
     by_key: dict[str, Mag] = {}
     n = 0
     labels = None
@@ -221,10 +221,9 @@ class _SweepTable:
     canonical-key order: its pair code, node rows (each of shape (n, MAG
     count)) and class.  Classes are numbered by their smallest canonical
     index, as in :class:`ClassPartition`; ``members`` lists each class's
-    indices.  ``index`` maps a pair code to its canonical index, so a code
-    missing there is not a MAG.  ``mags`` streams the MAGs in that order,
-    once, as :func:`enumerate_mags` does: each is checked by ``Mag()`` and
-    dropped once the sweep's work on it is done.
+    indices.  ``lookup`` finds pair codes among the kernel's sorted codes.
+    ``mags`` streams the MAGs in canonical order, once, as
+    :func:`enumerate_mags` does: each is checked by ``Mag()`` and dropped.
     """
 
     def __init__(self, n: int) -> None:
@@ -238,8 +237,26 @@ class _SweepTable:
         self.class_id = ids = rank[inverse]
         by_class = np.argsort(ids, kind="stable")
         self.members = np.split(by_class, np.cumsum(np.bincount(ids))[:-1])
-        self.index = dict(zip(self.codes.tolist(), range(perm.shape[0])))
+        self._sorted, self._place = codes, np.argsort(perm)
         self.mags = _checked_mags(n, codes, perm, seq, tokens)
+
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """The canonical index of each pair code, -1 for one not a MAG."""
+        at = np.minimum(np.searchsorted(self._sorted, codes), len(self._sorted) - 1)
+        return np.where(self._sorted[at] == codes, self._place[at], -1)
+
+    def same_class(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each lookup ``j`` (-1 for none) is in the class of ``i``."""
+        return (j >= 0) & (self.class_id[i] == self.class_id[j])
+
+    def moves(self, bits) -> Iterator[tuple[MoveDescriptor, np.ndarray, np.ndarray]]:
+        """Per move in ``legal_moves`` order: the move, the MAGs whose move
+        kernel ``bits`` license it, and the lookup of their moved codes."""
+        for kind, licensed in zip(_RANKED_KINDS, bits):
+            for x, y in itertools.permutations(range(self.n), 2):
+                mv = MoveDescriptor(kind, x, y)
+                i = np.flatnonzero(licensed >> np.uint64(x * self.n + y) & 1)
+                yield mv, i, self.lookup(_moved_code(self.n, self.codes[i], mv))
 
 
 def _key(n: int, code: int) -> str:
@@ -269,6 +286,13 @@ def _lemma1_holds(g: MixedGraph, x: int, y: int) -> bool:
     for a in iter_bits(chain):
         entered |= g._pa[a] & inside
     return not entered & ~g._pa[y]
+
+
+def _lemma1_rows(pa: np.ndarray, sp: np.ndarray, x: int, y: int) -> np.ndarray:
+    # _lemma1_holds(g, x, y) for every graph of the node rows at once.
+    inside = ~(sp[y] | (1 << x) | (1 << y))
+    chain = _kernels.chain_reach(sp, sp[x], inside)
+    return (chain | _kernels._spread(pa, chain) & inside) & ~pa[y] == 0
 
 
 def check_lemma1(m: Mag, x: int, y: int) -> bool:
@@ -361,43 +385,41 @@ def test_conjecture1(n: int) -> ConjectureReport:
     """Sweep every Markov-equivalent MAG pair on ``n`` nodes for a delta edge
     that is blanketed, and every class for members the move closure misses.
 
-    Each MAG of the sweep table (see ``_SweepTable``) runs ``legal_moves``
-    once while the stream holds it.  What is kept is its blanketed pair
-    positions and the moves whose patched pair code is in its class, so no
-    graph is built.  The closure starts at each class's smallest key and
-    follows those moves; a licensed move that leaves its class is a
-    ``thm3_sound`` violation of ``verify_theorems``.  Counterexamples are
-    reported, never asserted away.
+    Every MAG of the sweep table (see ``_SweepTable``) is streamed through
+    ``Mag()``.  The move kernel (``_kernels.move_block``) gives every MAG's
+    blanketed edges and licensed moves at once, and a move's result is
+    found by patching the moved pair in the pair code and looking the code
+    up, so no graph is built.  The closure starts at each class's smallest
+    key and follows the moves whose result is in the class; a licensed move
+    that leaves its class is a ``thm3_sound`` violation of
+    ``verify_theorems``.  Counterexamples are reported, never asserted away.
     """
     table = _SweepTable(n)
-    codes = table.codes.tolist()
+    for _ in table.mags:  # the independent Mag() check of every MAG
+        pass
     # Per MAG: both bits of each pair position where the edge is blanketed,
     # that is directed and blanketed or bi-directed and blanketed against an
-    # endpoint; and the moves that reach a MAG, as index pairs.
-    blanketed, src, dst = array("q"), array("i"), array("i")
-    for i, m in enumerate(table.mags):
-        bl = 0
-        for mv in legal_moves(m):
-            j = table.index.get(_moved_code(n, codes[i], mv))
-            if j is not None:
-                src.append(i)
-                dst.append(j)
-            if mv.kind is not MoveKind.REVERSE:
-                bl |= 3 << _pair_shift(n, min(mv.x, mv.y), max(mv.x, mv.y))
-        blanketed.append(bl)
-    src, dst = np.frombuffer(src, np.intc), np.frombuffer(dst, np.intc)
-    inside = table.class_id[src] == table.class_id[dst]  # the closure's moves
-    src, dst = src[inside], dst[inside]
+    # endpoint; and the moves that reach a MAG of the class, as index pairs.
+    codes, class_id = table.codes, table.class_id
+    blanketed = np.zeros_like(codes)
+    src, dst = [np.empty(0, int)], [np.empty(0, int)]  # one node has no pair
+    for mv, i, j in table.moves(_kernels.move_block(*table.rows)):
+        if mv.kind is not MoveKind.REVERSE:
+            blanketed[i] |= 3 << _pair_shift(n, min(mv.x, mv.y), max(mv.x, mv.y))
+        inside = table.same_class(i, j)
+        src.append(i[inside])
+        dst.append(j[inside])
+    src, dst = np.concatenate(src), np.concatenate(dst)
     reached = np.zeros(len(codes), bool)
     reached[[members[0] for members in table.members]] = True
     while (new := dst[reached[src] & ~reached[dst]]).size:
         reached[new] = True
-    missed = np.bincount(table.class_id[~reached], minlength=len(table.members))
+    missed = np.bincount(class_id[~reached], minlength=len(table.members))
     counterexamples = []
     pairs_examined = 0
     for members in table.members:
         cs = table.codes[members].tolist()
-        bs = [blanketed[i] for i in members.tolist()]
+        bs = blanketed[members].tolist()
         pairs_examined += len(cs) * (len(cs) - 1) // 2  # codes are distinct
         for (ci, bi), (cj, bj) in itertools.combinations(zip(cs, bs), 2):
             if not (ci ^ cj) & (bi | bj):  # the codes differ at the delta edges
@@ -515,20 +537,11 @@ def _bucket_verdicts(
             item, t = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
             a, b = pi[item] + start, pj[item]
             ti, ty = q[t], y[t]
-            allowed = pa[a, ty] & pa[b, ty]
-            bi = sp[a] & sp[b]
+            bi = np.ascontiguousarray((sp[a] & sp[b]).T)  # one row per node
             hits = np.packbits(
                 (head[a] & head[b] & far[ty, None]) != 0, axis=1, bitorder="little"
             )[:, 0]
-            reach = node[ti]
-            while True:
-                nbrs = np.zeros_like(reach)
-                for s in range(n):
-                    nbrs |= bi[:, s] * ((reach >> s) & 1)
-                grown = reach | (nbrs & allowed)
-                if np.array_equal(grown, reach):
-                    break
-                reach = grown
+            reach = _kernels.chain_reach(bi, node[ti], pa[a, ty] & pa[b, ty])
             found = item[(reach & hits) != 0]
             block[pi[found], pj[found]] = False
         yield block
@@ -587,13 +600,14 @@ def verify_theorems(n: int) -> EquivalenceReport:
     the blanket predicates for mark flips between equivalent MAGs, the
     screened reversal characterization, both path lemmas behind them, and
     agreement of the graphical equivalence test with the brute-force oracle
-    on every ordered pair.  Each MAG of the sweep table (see
-    ``_SweepTable``) runs ``legal_moves`` once while the stream holds it.  A
-    licensed move's result is found by patching the moved pair in the
-    source's pair code and looking the code up in the table; only a result
-    missing there or in another class goes through ``apply_move``, which
-    builds the violation text.  The mark-flip checks run afterwards over the
-    codes and the recorded move bits.  Inside each (skeleton,
+    on every ordered pair.  Every MAG of the sweep table (see
+    ``_SweepTable``) is streamed through ``Mag()``, and the move kernel
+    (``_kernels.move_block``) gives every MAG's licensed and screened moves
+    at once.  The MAG across a move or a mark flip is found by patching the
+    pair in the pair code and looking the code up, so each check is an
+    array comparison of class ids; only a licensed move's result missing
+    from the table or in another class goes through ``apply_move``, for the
+    violation text.  Inside each (skeleton,
     unshielded-collider) bucket, the shared candidate-triple masks of
     ``_triple_masks`` settle every pair with no triple to search as
     equivalent, and the chains of the other pairs' candidate triples are
@@ -613,87 +627,70 @@ def verify_theorems(n: int) -> EquivalenceReport:
 
 
 def _move_checks(table: _SweepTable) -> dict[str, CheckOutcome]:
-    # The per-MAG checks of verify_theorems.  While the stream holds a MAG,
-    # its licensed moves and Lemma 1 are checked, and bit x * n + y of
-    # licensed[i] or screened[i] records a licensed or screened move on
-    # (x, y).  The mark-flip checks then read the bits of the MAG and of its
-    # neighbour across the flipped edge.
-    n, index = table.n, table.index
-    codes, class_of = table.codes.tolist(), table.class_id.tolist()
+    # The per-MAG checks of verify_theorems on the move kernel's bits.  A
+    # violation is kept as (MAG, text) in move and pair order, so a stable
+    # sort by MAG gives the order of a loop over the MAGs.
+    n, codes = table.n, table.codes
+    for _ in table.mags:  # the independent Mag() check of every MAG
+        pass
+    pa, _, sp = table.rows
+    bits = _kernels.move_block(*table.rows)
+    licensed, screened = bits[0] | bits[1], bits[2]
     names = ("thm3_sound", "thm3_necessary", "thm4_iff", "lemma1", "lemma2")
     cases = dict.fromkeys(names, 0)
-    viol: dict[str, list[str]] = {name: [] for name in names}
-    licensed, screened = array("q"), array("q")
-    for i, m in enumerate(table.mags):
-        key, lic, scr = m.canonical_key(), 0, 0
-        for mv in legal_moves(m):
-            if mv.kind is MoveKind.REVERSE:
-                scr |= 1 << (mv.x * n + mv.y)
-                continue
-            lic |= 1 << (mv.x * n + mv.y)
-            cases["thm3_sound"] += 1
-            j = index.get(_moved_code(n, codes[i], mv))
-            if j is None or class_of[j] != class_of[i]:
-                try:
-                    why = f" -> {apply_move(m, mv).canonical_key()}: not equivalent"
-                except InputError as exc:
-                    why = f": {exc}"
-                viol["thm3_sound"].append(f"{key} {mv}{why}")
-        for a, b, mark in m.graph._marks():
-            u, v = (b, a) if mark == _REV else (a, b)
-            for x, y in ((u, v), (v, u)):
-                if lic >> (x * n + y) & 1:
-                    cases["lemma1"] += 1
-                    if not _lemma1_holds(m.graph, x, y):
-                        viol["lemma1"].append(
-                            f"{key}: collider entry paths into {x} "
-                            f"escape the blanket of {y}"
-                        )
-        licensed.append(lic)
-        screened.append(scr)
+    found: dict[str, list] = {name: [] for name in names}
 
-    def report(name: str, code: int, text: str) -> None:
-        viol[name].append(f"{_key(n, code)}: {text}")
+    def report(name: str, i: np.ndarray, text: str, named=None) -> None:
+        # named: the MAGs the texts name, where not the MAGs i themselves
+        named = i if named is None else named
+        found[name].extend(
+            (a, f"{_key(n, codes[k])}: {text}") for a, k in zip(i.tolist(), named)
+        )
 
-    pairs = list(enumerate(_kernels.pair_list(n)))
-    for i, code in enumerate(codes):
-        for p, (a, b) in pairs:
-            mark = code >> 2 * p & 3
-            if mark not in (_FWD, _REV):
-                continue
-            u, v = (a, b) if mark == _FWD else (b, a)
-            bit = 1 << (u * n + v)
-            blanketed, edge_screened = licensed[i] & bit, bool(screened[i] & bit)
+    for mv, i, j in table.moves(bits[:2]):
+        cases["thm3_sound"] += len(i)
+        for a in i[~table.same_class(i, j)].tolist():
+            # the result is no MAG or in another class: apply_move says which
+            m = Mag(graph_from_pair_code(n, codes[a]))
+            try:
+                why = f" -> {apply_move(m, mv).canonical_key()}: not equivalent"
+            except InputError as exc:
+                why = f": {exc}"
+            found["thm3_sound"].append((a, f"{m.canonical_key()} {mv}{why}"))
+    cases["lemma1"] = int(np.bitwise_count(licensed).sum())
+    for p, (a, b) in enumerate(_kernels.pair_list(n)):
+        for x, y in ((a, b), (b, a)):
+            on = licensed >> np.uint64(x * n + y) & 1 != 0
+            text = f"collider entry paths into {x} escape the blanket of {y}"
+            report("lemma1", np.flatnonzero(on & ~_lemma1_rows(pa, sp, x, y)), text)
+        state = codes >> 2 * p & 3
+        for u, v, mark in ((a, b, _FWD), (b, a, _REV)):
+            i = np.flatnonzero(state == mark)
+            bit = np.uint64(u * n + v)
+            blanketed = licensed[i] >> bit & 1 != 0
+            edge_screened = screened[i] >> bit & 1 != 0
+            tok = _token(str(u), str(v), False)
 
             # u <-> v sets both bits of the pair; v -> u swaps 1 and 2
-            j = index.get(code | 3 << 2 * p)
-            if j is not None and class_of[j] == class_of[i]:
-                cases["thm3_necessary"] += 1
-                if not blanketed:
-                    tok = _token(str(u), str(v), False)
-                    report("thm3_necessary", code, f"{tok} flips but is not blanketed")
-                if not licensed[j] & bit:  # bi-to-dir with u as the tail
-                    report(
-                        "thm3_necessary",
-                        codes[j],
-                        f"{u}<->{v} flips back but is not blanketed against {u}",
-                    )
+            j = table.lookup(codes[i] | 3 << 2 * p)
+            flips = table.same_class(i, j)
+            cases["thm3_necessary"] += int(flips.sum())
+            text = f"{tok} flips but is not blanketed"
+            report("thm3_necessary", i[flips & ~blanketed], text)
+            back = flips & (licensed[j] >> bit & 1 == 0)  # bi-to-dir, u the tail
+            text = f"{u}<->{v} flips back but is not blanketed against {u}"
+            report("thm3_necessary", i[back], text, j[back])
 
-            cases["thm4_iff"] += 1
-            j = index.get(code ^ 3 << 2 * p)
-            same = j is not None and class_of[j] == class_of[i]
-            if same != edge_screened:
-                tok = _token(str(u), str(v), False)
-                report(
-                    "thm4_iff",
-                    code,
-                    f"reversal of {tok} equivalent={same} screened={edge_screened}",
-                )
+            cases["thm4_iff"] += len(i)
+            same = table.same_class(i, table.lookup(codes[i] ^ 3 << 2 * p))
+            for s in (False, True):
+                text = f"reversal of {tok} equivalent={s} screened={not s}"
+                report("thm4_iff", i[(same == s) & (edge_screened != s)], text)
 
-            if edge_screened:
-                cases["lemma2"] += 1
-                if not blanketed:
-                    tok = _token(str(u), str(v), False)
-                    report("lemma2", code, f"{tok} screened but not blanketed")
+            cases["lemma2"] += int(edge_screened.sum())
+            text = f"{tok} screened but not blanketed"
+            report("lemma2", i[edge_screened & ~blanketed], text)
 
-    return {k: CheckOutcome(cases[k], tuple(viol[k])) for k in names}
+    for name in names:
+        found[name].sort(key=lambda item: item[0])  # stable: by MAG only
+    return {k: CheckOutcome(cases[k], tuple(t for _, t in found[k])) for k in names}

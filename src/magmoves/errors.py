@@ -19,3 +19,15 @@ class NotAMagError(InputError):
 
 class MoveRejectedError(InputError):
     """A requested edge replacement fails its licensing predicate."""
+
+
+def _shown(value: object) -> str:
+    # repr(value) for a message, naming an integer too long for decimal
+    # conversion by its bit length and other unprintable values by type.
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too large to print"
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"

@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import InputError, NotAMagError, PreconditionError
+from .errors import InputError, NotAMagError, PreconditionError, _shown
 
 __all__ = [
     "EdgeKind",
@@ -66,13 +66,13 @@ class Edge:
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, EdgeKind):
-            raise InputError(f"edge kind must be an EdgeKind, got {self.kind!r}")
+            raise InputError(f"edge kind must be an EdgeKind, got {_shown(self.kind)}")
         if type(self.u) is not int or type(self.v) is not int:
             raise InputError(
-                f"edge ({self.u!r}, {self.v!r}) has a non-integer endpoint"
+                f"edge ({_shown(self.u)}, {_shown(self.v)}) has a non-integer endpoint"
             )
         if self.u == self.v:
-            raise InputError(f"self-loop at node {self.u}")
+            raise InputError(f"self-loop at node {_shown(self.u)}")
         if self.kind is EdgeKind.BIDIRECTED and self.u > self.v:
             lo, hi = self.v, self.u
             object.__setattr__(self, "u", lo)
@@ -142,10 +142,10 @@ def _check_labels(n: int, labels: Iterable[str] | None) -> tuple[str, ...]:
     if labels is None:
         return tuple(f"V{i}" for i in range(n))
     if not isinstance(labels, Iterable) or isinstance(labels, (str, bytes)):
-        raise InputError(f"labels must be an iterable of strings, got {labels!r}")
+        raise InputError(f"labels must be an iterable of strings, got {_shown(labels)}")
     labels = tuple(labels)
     if not all(isinstance(lbl, str) for lbl in labels):
-        raise InputError(f"node labels must be strings, got {labels!r}")
+        raise InputError(f"node labels must be strings, got {_shown(labels)}")
     if len(labels) != n:
         raise InputError(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
@@ -180,20 +180,24 @@ class MixedGraph:
         labels: Iterable[str] | None = None,
     ) -> None:
         if not isinstance(n, int) or isinstance(n, bool):
-            raise InputError(f"node count must be an integer, got {n!r}")
+            raise InputError(f"node count must be an integer, got {_shown(n)}")
         if n < 0:
-            raise InputError(f"node count must be non-negative, got {n}")
+            raise InputError(f"node count must be non-negative, got {_shown(n)}")
         if n > sys.maxsize:
-            raise InputError(f"node count must be at most {sys.maxsize}, got {n}")
+            raise InputError(
+                f"node count must be at most {sys.maxsize}, got {_shown(n)}"
+            )
         pa, ch, sp = [0] * n, [0] * n, [0] * n
         if not isinstance(edges, Iterable):
-            raise InputError(f"edges must be an iterable, got {edges!r}")
+            raise InputError(f"edges must be an iterable, got {_shown(edges)}")
         for e in edges:
             if not isinstance(e, Edge):
-                raise InputError(f"expected an Edge, got {e!r}")
+                raise InputError(f"expected an Edge, got {_shown(e)}")
             u, v = e.u, e.v
             if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) references an unknown node")
+                raise InputError(
+                    f"edge ({_shown(u)}, {_shown(v)}) references an unknown node"
+                )
             if (pa[u] | ch[u] | sp[u]) >> v & 1:
                 i, j = e.pair
                 raise InputError(f"more than one edge between nodes {i} and {j}")
@@ -250,13 +254,13 @@ class MixedGraph:
 
     def check_node(self, x: int) -> None:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.n:
-            raise InputError(f"unknown node {x!r}")
+            raise InputError(f"unknown node {_shown(x)}")
 
     def node_id(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise InputError(f"unknown node label {label!r}") from None
+            raise InputError(f"unknown node label {_shown(label)}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_node(u)
@@ -347,10 +351,12 @@ class MixedGraph:
         """Copy of this graph with the edge on ``edge.pair`` replaced (or
         added if the pair was non-adjacent)."""
         if not isinstance(edge, Edge):
-            raise InputError(f"expected an Edge, got {edge!r}")
+            raise InputError(f"expected an Edge, got {_shown(edge)}")
         u, v = edge.u, edge.v
         if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"edge ({u}, {v}) references an unknown node")
+            raise InputError(
+                f"edge ({_shown(u)}, {_shown(v)}) references an unknown node"
+            )
         pa, ch, sp = list(self._pa), list(self._ch), list(self._sp)
         keep_u, keep_v = ~(1 << v), ~(1 << u)
         for rows in (pa, ch, sp):
@@ -396,14 +402,14 @@ class MixedGraph:
 def require_graph(g: object) -> None:
     """Raise unless ``g`` is a :class:`MixedGraph`."""
     if not isinstance(g, MixedGraph):
-        raise InputError(f"expected a MixedGraph, got {g!r}")
+        raise InputError(f"expected a MixedGraph, got {_shown(g)}")
 
 
 def _path_nodes(g: MixedGraph, path: Iterable[int]) -> tuple[int, ...]:
     # ``path`` as a tuple, once it is known to hold only nodes of ``g``.
     require_graph(g)
     if not isinstance(path, Iterable):
-        raise InputError(f"expected a sequence of nodes, got {path!r}")
+        raise InputError(f"expected a sequence of nodes, got {_shown(path)}")
     path = tuple(path)
     for x in path:
         g.check_node(x)
@@ -703,7 +709,7 @@ def require_mags(*mags: "Mag") -> None:
     set (node count and labels)."""
     for m in mags:
         if not isinstance(m, Mag):
-            raise InputError(f"expected a Mag, got {m!r}")
+            raise InputError(f"expected a Mag, got {_shown(m)}")
     for m in mags[1:]:
         if m.n != mags[0].n or m.labels != mags[0].labels:
             raise InputError("graphs must share the same node set")
@@ -711,7 +717,7 @@ def require_mags(*mags: "Mag") -> None:
 
 def canonical_key(g: "MixedGraph | Mag") -> str:
     if not isinstance(g, (MixedGraph, Mag)):
-        raise InputError(f"expected a MixedGraph or a Mag, got {g!r}")
+        raise InputError(f"expected a MixedGraph or a Mag, got {_shown(g)}")
     return g.canonical_key()
 
 
@@ -726,7 +732,7 @@ class Mag:
 
     def __init__(self, graph: MixedGraph) -> None:
         if not isinstance(graph, MixedGraph):
-            raise InputError(f"expected a MixedGraph, got {graph!r}")
+            raise InputError(f"expected a MixedGraph, got {_shown(graph)}")
         bad = mag_violation(graph)
         if bad is not None:
             raise NotAMagError(f"not {bad[0]}: {bad[1]}")

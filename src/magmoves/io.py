@@ -18,7 +18,7 @@ import os
 import re
 import sys
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _shown
 from .graph import EdgeKind, MixedGraph, _put_edge, require_graph
 
 __all__ = [
@@ -60,7 +60,7 @@ def graph_from_json_dict(data: object) -> MixedGraph:
         v = index.get(b) if isinstance(b, str) else None
         if u is None or v is None:
             bad = a if u is None else b
-            raise ParseError(f"edge endpoint {bad!r} is not a declared node")
+            raise ParseError(f"edge endpoint {_shown(bad)} is not a declared node")
         if u == v:
             raise ParseError(f"self-loop at node {a!r}")
         if (pa[u] | ch[u] | sp[u]) >> v & 1:
@@ -70,14 +70,14 @@ def graph_from_json_dict(data: object) -> MixedGraph:
             )
         kind = item["type"]
         if kind != "directed" and kind != "bidirected":
-            raise ParseError(f"unknown edge type {kind!r}")
+            raise ParseError(f"unknown edge type {_shown(kind)}")
         _put_edge(pa, ch, sp, u, v, kind == "bidirected")
     return MixedGraph._trusted(n, tuple(nodes), pa, ch, sp, None)
 
 
 def parse_graph_json(text: str) -> MixedGraph:
     if not isinstance(text, (str, bytes, bytearray)):
-        raise InputError(f"expected JSON text, got {text!r}")
+        raise InputError(f"expected JSON text, got {_shown(text)}")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -96,9 +96,9 @@ def graph_to_json_dict(g: MixedGraph) -> dict:
 
 def graph_to_json(g: MixedGraph, indent: int | str | None = 2) -> str:
     if isinstance(indent, bool) or not isinstance(indent, (int, str, type(None))):
-        raise InputError(f"indent must be None, an int or a str, got {indent!r}")
+        raise InputError(f"indent must be None, an int or a str, got {_shown(indent)}")
     if isinstance(indent, int) and indent > sys.maxsize:
-        raise InputError(f"indent must be at most {sys.maxsize}, got {indent}")
+        raise InputError(f"indent must be at most {sys.maxsize}, got {_shown(indent)}")
     return json.dumps(graph_to_json_dict(g), indent=indent)
 
 
@@ -154,7 +154,7 @@ def _dot_unquote(match: re.Match, slot: int) -> str:
 def parse_dot(text: str) -> MixedGraph:
     """Read the DOT subset produced by :func:`graph_to_dot`."""
     if not isinstance(text, str):
-        raise InputError(f"expected DOT text, got {text!r}")
+        raise InputError(f"expected DOT text, got {_shown(text)}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("digraph"):
         raise ParseError("expected a digraph block")
@@ -199,7 +199,7 @@ def load_graph(path: str | os.PathLike) -> MixedGraph:
     """Read a JSON graph from a file path, or from stdin when path is '-'."""
     # open() would take an int as a file descriptor, and close it after
     if not isinstance(path, (str, os.PathLike)):
-        raise InputError(f"expected a file path, got {path!r}")
+        raise InputError(f"expected a file path, got {_shown(path)}")
     try:
         if path == "-":
             text = sys.stdin.read()

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from .errors import InputError
+from .errors import InputError, _shown
 from .graph import MixedGraph, iter_bits, require_graph, simple_paths_between
 
 __all__ = [
@@ -46,7 +46,7 @@ class SeparationQuery:
             if not isinstance(nodes, tuple) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in nodes
             ):
-                raise InputError(f"{name} must be a set of nodes, got {nodes!r}")
+                raise InputError(f"{name} must be a set of nodes, got {_shown(nodes)}")
             object.__setattr__(self, name, frozenset(nodes))
         if self.sources & self.targets:
             raise InputError("sources and targets overlap")
@@ -57,7 +57,7 @@ class SeparationQuery:
 def _given_masks(g: MixedGraph, given: Iterable[int]) -> tuple[int, int]:
     # The conditioning set and its ancestors, as masks.
     if not isinstance(given, Iterable):
-        raise InputError(f"conditioning set must be an iterable, got {given!r}")
+        raise InputError(f"conditioning set must be an iterable, got {_shown(given)}")
     zmask = 0
     for z in given:
         g.check_node(z)
@@ -150,7 +150,7 @@ def m_separated_sets(g: MixedGraph, query: SeparationQuery) -> bool:
     conditioning set.  Empty sides hold vacuously."""
     require_graph(g)
     if not isinstance(query, SeparationQuery):
-        raise InputError(f"expected a SeparationQuery, got {query!r}")
+        raise InputError(f"expected a SeparationQuery, got {_shown(query)}")
     for v in query.sources | query.targets:
         g.check_node(v)
     zmask, anz = _given_masks(g, query.conditioning)

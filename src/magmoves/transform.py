@@ -21,7 +21,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError, MoveRejectedError
+from .errors import InputError, MoveRejectedError, _shown
 from .equivalence import _discriminating_chain
 from .graph import (
     _BI,
@@ -198,9 +198,9 @@ def apply_move(m: Mag, move: MoveDescriptor) -> Mag:
     """
     require_mags(m)
     if not isinstance(move, MoveDescriptor):
-        raise InputError(f"expected a MoveDescriptor, got {move!r}")
+        raise InputError(f"expected a MoveDescriptor, got {_shown(move)}")
     if not isinstance(move.kind, MoveKind):
-        raise InputError(f"unknown move kind {move.kind!r}")
+        raise InputError(f"unknown move kind {_shown(move.kind)}")
     reason = _violation(m, move.kind, move.x, move.y)
     if reason is not None:
         label = "not screened" if move.kind is MoveKind.REVERSE else "not blanketed"
@@ -262,7 +262,7 @@ def equivalence_class_closure(m: Mag, max_size: int = 1000) -> ClosureResult:
     """
     require_mags(m)
     if not isinstance(max_size, int) or isinstance(max_size, bool) or max_size < 1:
-        raise InputError(f"max_size must be an integer >= 1, got {max_size!r}")
+        raise InputError(f"max_size must be an integer >= 1, got {_shown(max_size)}")
     n = m.n
     seen = {m.graph.pair_code: m}
     queue = deque(seen.items())

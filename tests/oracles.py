@@ -9,11 +9,15 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+import numpy as np
+
 from magmoves import (
     Mag,
     MoveDescriptor,
     MoveKind,
     apply_move,
+    bidirected,
+    directed,
     is_discriminating_path,
     legal_moves,
     m_connected,
@@ -150,6 +154,27 @@ def legal_moves_by_violation(m: Mag) -> list[MoveDescriptor]:
             out.append(MoveDescriptor(MoveKind.REVERSE, u, v))
     order = [MoveKind.DIR_TO_BI, MoveKind.BI_TO_DIR, MoveKind.REVERSE]
     return sorted(out, key=lambda mv: (order.index(mv.kind), mv.x, mv.y))
+
+
+def move_bits_by_legal_moves(pa, ch, sp):
+    """The three bit arrays of ``_kernels.move_block`` for node rows of shape
+    (n, graphs), found literally: each column is decoded into a Mag and
+    asked for its ``legal_moves``, and each move (x, y) sets bit
+    ``x * n + y`` of its kind's array, in ``MoveKind`` order."""
+    n, count = pa.shape
+    kinds = [MoveKind.DIR_TO_BI, MoveKind.BI_TO_DIR, MoveKind.REVERSE]
+    out = np.zeros((3, count), np.uint64)
+    for g in range(count):
+        edges = [directed(x, y) for y in range(n) for x in iter_bits(int(pa[y, g]))]
+        edges += [
+            bidirected(x, y)
+            for x in range(n)
+            for y in iter_bits(int(sp[x, g]))
+            if x < y
+        ]
+        for mv in legal_moves(Mag(MixedGraph(n, edges))):
+            out[kinds.index(mv.kind), g] |= np.uint64(1) << np.uint64(mv.x * n + mv.y)
+    return tuple(out)
 
 
 def simple_paths_recursive(g: MixedGraph, x: int, y: int):

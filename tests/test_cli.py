@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -412,6 +413,33 @@ def test_verify_report(capsys):
     assert main(["verify", "--n", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["checks"]["thm2_vs_oracle"]["passed"] is True
+
+
+# sha256 of the stdout of `verify`/`conjecture --n k` for k = 1..4, recorded
+# while the sweeps still ran legal_moves once per MAG: the reports must stay
+# byte-identical.
+_REPORT_SHA256 = {
+    "verify": [
+        "c99f157ff1589608396a7a8eca7503bf8979734a3180e3cfc42b793b615a7dfa",
+        "74fe50ff144b8a400b9c1c0aea75bdd25304709c2aa5266e682ae5f03716115a",
+        "9bc77b9acac30e5442500bf7d34acdd5fcf703c4e481e822b41d77ac92b6ad2f",
+        "49f2ca46021bc719d52b842f287bc5036f043823626eabe542132903494284d4",
+    ],
+    "conjecture": [
+        "5883d00ea07c1c00d44a8627e9feebf828378b80b145440ce8862effb1198da1",
+        "6d3988885340e07a15951839005efcc2f9f21753f94afee8e77fc6cc1cfe691b",
+        "023f15343dc2f546e2b4d7310d31768d1f16a8889e457e88ca455a81344daa06",
+        "6a70a496b0bcc64b01ffd1541ce2ad6e490a456ed3f650febc222c361eb71a52",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_SHA256))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_report_bytes_are_pinned(command, n, capsys):
+    assert main([command, "--n", str(n)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == _REPORT_SHA256[command][n - 1]
 
 
 def test_dot_subcommand(edge_file, capsys):

@@ -25,7 +25,7 @@ from magmoves import _kernels, enumeration, transform
 from magmoves.enumeration import _local_key_ids, _triple_masks
 from magmoves.equivalence import _discriminating_witness, _head_rows, _local_key
 
-from oracles import lemma1_by_paths
+from oracles import lemma1_by_paths, move_bits_by_legal_moves
 from random_graphs import mark_change_walk, random_dag
 
 
@@ -224,9 +224,9 @@ def test_partition_matches_grouping_by_separation_signature(n, mags_by_n):
 def test_code_lookup_membership_equals_is_mag(n, mags_by_n):
     # the table's code lookup stands in for is_mag after a mark change only
     # because the enumeration holds every MAG
-    by_code = enumeration._SweepTable(n).index
-    assert len(by_code) == len(mags_by_n[n])
-    changed = 0
+    table = enumeration._SweepTable(n)
+    assert len(table.codes) == len(mags_by_n[n])
+    changed = []
     for m in mags_by_n[n]:
         code = m.graph.pair_code
         for p in range(len(_kernels.pair_list(n))):
@@ -234,9 +234,12 @@ def test_code_lookup_membership_equals_is_mag(n, mags_by_n):
                 new = code & ~(3 << 2 * p) | s << 2 * p
                 if new == code:
                     continue
-                changed += 1
-                assert (new in by_code) == is_mag(graph_from_pair_code(n, new))
-    assert changed == len(mags_by_n[n]) * 3 * len(_kernels.pair_list(n))
+                changed.append(new)
+    found = table.lookup(np.array(changed, np.int64)).tolist()
+    for new, j in zip(changed, found):
+        assert (j >= 0) == is_mag(graph_from_pair_code(n, new))
+        assert j < 0 or table.codes[j] == new
+    assert len(changed) == len(mags_by_n[n]) * 3 * len(_kernels.pair_list(n))
 
 
 def _assert_table_matches_partition(n, mags):
@@ -249,7 +252,7 @@ def _assert_table_matches_partition(n, mags):
     assert keys == sorted(keys)
     assert [graph_from_pair_code(n, c).canonical_key() for c in codes] == keys
     assert codes == [m.graph.pair_code for m in part.graphs_by_key.values()]
-    assert table.index == {c: i for i, c in enumerate(codes)}
+    assert table.lookup(table.codes).tolist() == list(range(len(codes)))
     assert table.class_id.tolist() == [part.class_of[k] for k in keys]
     place = {k: i for i, k in enumerate(keys)}
     assert [m.tolist() for m in table.members] == [
@@ -634,7 +637,8 @@ def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
     # Deliberately wrong blanket predicates, so counterexamples exist: a
     # directed edge x -> y is blanketed only when x < y, a bi-directed one
     # against x only when x > y.  Every predicate and legal_moves ask the
-    # module's one search, so it is the one patched.
+    # module's one search, so it is the one patched; the sweep's move kernel
+    # is swapped for the literal legal_moves bits, which the patch reaches.
     real = transform._failure
 
     def wrong(g, kind, x, y):
@@ -645,6 +649,7 @@ def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
         return real(g, kind, x, y)
 
     monkeypatch.setattr(transform, "_failure", wrong)
+    monkeypatch.setattr(_kernels, "move_block", move_bits_by_legal_moves)
     want = _literal_counterexamples(4)
     rep = enumeration.test_conjecture1(4)
     assert want
@@ -671,6 +676,8 @@ def test_conjecture_closure_is_the_walk_inside_each_class(monkeypatch):
         return None if x < y else ("parent", None)
 
     monkeypatch.setattr(transform, "_failure", leaking)
+    # the sweep's move kernel as the literal legal_moves bits
+    monkeypatch.setattr(_kernels, "move_block", move_bits_by_legal_moves)
     part = partition_into_classes(enumeration.enumerate_mags(4))
     gaps, no_mag, other_class = [], 0, 0
     for cid, keys in enumerate(part.classes):
@@ -717,6 +724,8 @@ def test_thm3_sound_reports_what_apply_move_finds(monkeypatch):
         return None
 
     monkeypatch.setattr(transform, "_failure", licensed)
+    # the sweep's move kernel as the literal legal_moves bits
+    monkeypatch.setattr(_kernels, "move_block", move_bits_by_legal_moves)
     part = partition_into_classes(enumeration.enumerate_mags(4))
     cases, want = 0, []
     for key, m in part.graphs_by_key.items():
@@ -827,6 +836,8 @@ def test_move_checks_report_what_the_literal_loop_finds(monkeypatch):
         return ("parent", None) if x < y else real(g, kind, x, y)
 
     monkeypatch.setattr(transform, "_failure", wrong)
+    # the sweep's move kernel as the literal legal_moves bits
+    monkeypatch.setattr(_kernels, "move_block", move_bits_by_legal_moves)
     cases, viol = _literal_move_checks(4)
     checks = enumeration.verify_theorems(4).checks
     for name in cases:

@@ -175,3 +175,29 @@ def test_public_api_raises_only_input_error_on_ill_typed_arguments(name, data):
             list(result)
     except InputError:
         pass
+
+
+# An integer past Python's limit on decimal conversion (4,300 digits by
+# default): a message that echoes it in decimal would raise ValueError.
+_HUGE = 1 << 20000
+
+_HUGE_CALLS = {
+    "pair code": lambda: magmoves.graph_from_pair_code(5, _HUGE),
+    "decoder node count": lambda: magmoves.graph_from_pair_code(_HUGE, 0),
+    "negative decoder node count": lambda: magmoves.graph_from_pair_code(-_HUGE, 0),
+    "node count": lambda: MixedGraph(_HUGE),
+    "negative node count": lambda: MixedGraph(-_HUGE),
+    "ancestor_mask": lambda: MixedGraph(3).ancestor_mask(_HUGE),
+    "is_parent": lambda: MixedGraph(3).is_parent(0, _HUGE),
+    "edge endpoint": lambda: MixedGraph(3, [directed(0, _HUGE)]),
+    "labels": lambda: MixedGraph(1, labels=[_HUGE]),
+    "json indent": lambda: graph_to_json(MixedGraph(2), indent=_HUGE),
+    "closure max_size": lambda: equivalence_class_closure(_M, max_size=-_HUGE),
+    "sweep node count": lambda: magmoves.test_conjecture1(_HUGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_CALLS))
+def test_huge_integers_raise_input_error(name):
+    with pytest.raises(InputError, match="integer of 2000[01] bits|too large"):
+        _HUGE_CALLS[name]()

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from magmoves import _kernels
-from magmoves.enumeration import enumerate_mags, graph_from_pair_code
+from magmoves.enumeration import (
+    _lemma1_holds,
+    _lemma1_rows,
+    enumerate_mags,
+    graph_from_pair_code,
+)
 from magmoves.graph import is_mag
 from magmoves.separation import separation_signature
 
+from oracles import lemma1_by_paths, move_bits_by_legal_moves
 from random_graphs import random_mag
 
 
@@ -85,3 +91,63 @@ def test_signature_block_matches_separation_signature_on_every_n5_mag():
     assert _kernel_signatures(graphs, np.uint8) == [
         separation_signature(g) for g in graphs
     ]
+
+
+def _assert_move_block_matches_legal_moves(rows):
+    got = _kernels.move_block(*rows)
+    want = move_bits_by_legal_moves(*rows)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint64 and g.shape == (rows[0].shape[1],)
+        assert np.array_equal(g, w)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_move_block_matches_legal_moves_on_every_mag(n):
+    codes = _kernels.enumerate_mag_codes(n)
+    bits = _assert_move_block_matches_legal_moves(_kernels.node_rows(n, codes))
+    # every kind is licensed somewhere once there are three nodes
+    assert n < 3 or all(b.any() for b in bits)
+
+
+@pytest.mark.slow
+def test_move_block_matches_legal_moves_on_every_n5_mag():
+    codes = _kernels.enumerate_mag_codes(5)
+    assert len(codes) == 328924
+    _assert_move_block_matches_legal_moves(_kernels.node_rows(5, codes))
+
+
+@pytest.mark.parametrize("n, degree", [(6, 2.5), (7, 3.0), (8, 3.5), (8, 5.0)])
+def test_move_block_matches_legal_moves_on_seeded_mags(n, degree):
+    rng = random.Random(2300 + n * 10 + int(degree))
+    graphs = [random_mag(rng, n, degree) for _ in range(150)]
+    rows = np.array([(g._pa, g._ch, g._sp) for g in graphs], np.uint8)
+    bits = _assert_move_block_matches_legal_moves(rows.transpose(1, 2, 0).copy())
+    # the moves reach the top bits: bit 7 * 8 + 6 = 62 is the highest pair
+    top = max(int(b).bit_length() for kind in bits for b in kind.tolist())
+    assert top > 32 if n < 8 else top > 56
+
+
+@pytest.mark.parametrize("n, failing", [(2, 0), (3, 42), (4, 7440)])
+def test_lemma1_rows_match_one_graph_and_the_path_oracle(n, failing):
+    # every ordered pair of every MAG on n nodes: the rows give one verdict
+    # per MAG, equal to the one-graph search and to the path oracle; the
+    # lemma holds wherever the move kernel licenses a blanket
+    codes = _kernels.enumerate_mag_codes(n)
+    pa, ch, sp = _kernels.node_rows(n, codes)
+    dir_bi, bi_dir, _ = _kernels.move_block(pa, ch, sp)
+    licensed = (dir_bi | bi_dir).tolist()
+    fails = 0
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            rows = _lemma1_rows(pa, sp, x, y).tolist()
+            for i, code in enumerate(codes.tolist()):
+                g = graph_from_pair_code(n, code)
+                want = lemma1_by_paths(g, x, y)
+                assert rows[i] == _lemma1_holds(g, x, y) == want
+                assert want or not licensed[i] >> (x * n + y) & 1
+                fails += not want
+    assert fails == failing

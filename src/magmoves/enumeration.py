@@ -221,7 +221,8 @@ class _SweepTable:
     canonical-key order: its pair code, node rows (each of shape (n, MAG
     count)) and class.  Classes are numbered by their smallest canonical
     index, as in :class:`ClassPartition`; ``members`` lists each class's
-    indices.  ``lookup`` finds pair codes among the kernel's sorted codes.
+    indices, and ``by_code`` all indices in pair-code order.  ``lookup``
+    finds pair codes among the kernel's sorted codes.
     ``mags`` streams the MAGs in canonical order, once, as
     :func:`enumerate_mags` does: each is checked by ``Mag()`` and dropped.
     """
@@ -237,13 +238,13 @@ class _SweepTable:
         self.class_id = ids = rank[inverse]
         by_class = np.argsort(ids, kind="stable")
         self.members = np.split(by_class, np.cumsum(np.bincount(ids))[:-1])
-        self._sorted, self._place = codes, np.argsort(perm)
+        self._sorted, self.by_code = codes, np.argsort(perm)
         self.mags = _checked_mags(n, codes, perm, seq, tokens)
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """The canonical index of each pair code, -1 for one not a MAG."""
         at = np.minimum(np.searchsorted(self._sorted, codes), len(self._sorted) - 1)
-        return np.where(self._sorted[at] == codes, self._place[at], -1)
+        return np.where(self._sorted[at] == codes, self.by_code[at], -1)
 
     def same_class(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether each lookup ``j`` (-1 for none) is in the class of ``i``."""
@@ -251,12 +252,42 @@ class _SweepTable:
 
     def moves(self, bits) -> Iterator[tuple[MoveDescriptor, np.ndarray, np.ndarray]]:
         """Per move in ``legal_moves`` order: the move, the MAGs whose move
-        kernel ``bits`` license it, and the lookup of their moved codes."""
+        kernel ``bits`` license it, in pair-code order, and the lookup of
+        their moved codes.  A move patches one pair of a fixed state, so it
+        adds one constant to every code and keeps them sorted."""
         for kind, licensed in zip(_RANKED_KINDS, bits):
+            licensed = licensed[self.by_code]
             for x, y in itertools.permutations(range(self.n), 2):
                 mv = MoveDescriptor(kind, x, y)
-                i = np.flatnonzero(licensed >> np.uint64(x * self.n + y) & 1)
-                yield mv, i, self.lookup(_moved_code(self.n, self.codes[i], mv))
+                at = np.flatnonzero(licensed >> np.uint64(x * self.n + y) & 1)
+                moved = _moved_code(self.n, self._sorted[at], mv)
+                yield mv, self.by_code[at], self.lookup(moved)
+
+
+# Pairs _group_pairs yields at a time.  Chunks of 2^16 raised the peak
+# memory of the sweeps at n = 4 by 1.6 MB and saved 0.5 s of 3.7 at n = 5.
+_PAIR_CHUNK = 1 << 14
+
+
+def _group_pairs(group_of: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # Every pair of indices i < j with group_of[i] == group_of[j], as index
+    # arrays of at most _PAIR_CHUNK pairs: by group, then by i, then by j.
+    # In the indices sorted by group, position p starts the pairs from p to
+    # each later position of its group; a chunk repeats every position it
+    # covers by its number of pairs there.
+    order = np.argsort(group_of, kind="stable").astype(np.int32)
+    sizes = np.bincount(group_of)
+    count = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, len(order) + 1)
+    stop = np.cumsum(count)
+    for lo in range(0, int(stop[-1]) if len(stop) else 0, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, int(stop[-1]))
+        first, last = np.searchsorted(stop, (lo, hi - 1), "right")
+        rows = slice(first, last + 1)
+        start = stop[rows] - count[rows]
+        counts = np.minimum(stop[rows], hi) - np.maximum(start, lo)
+        i = np.repeat(np.arange(first, last + 1), counts)
+        j = i + np.arange(lo + 1, hi + 1) - np.repeat(start, counts)
+        yield order[i], order[j]
 
 
 def _key(n: int, code: int) -> str:
@@ -392,7 +423,9 @@ def test_conjecture1(n: int) -> ConjectureReport:
     up, so no graph is built.  The closure starts at each class's smallest
     key and follows the moves whose result is in the class; a licensed move
     that leaves its class is a ``thm3_sound`` violation of
-    ``verify_theorems``.  Counterexamples are reported, never asserted away.
+    ``verify_theorems``.  The pairs of each class are tested in chunks
+    across all classes, as one array expression on pair codes and blanket
+    bits per chunk.  Counterexamples are reported, never asserted away.
     """
     table = _SweepTable(n)
     for _ in table.mags:  # the independent Mag() check of every MAG
@@ -416,31 +449,22 @@ def test_conjecture1(n: int) -> ConjectureReport:
         reached[new] = True
     missed = np.bincount(class_id[~reached], minlength=len(table.members))
     counterexamples = []
-    pairs_examined = 0
-    for members in table.members:
-        cs = table.codes[members].tolist()
-        bs = blanketed[members].tolist()
-        pairs_examined += len(cs) * (len(cs) - 1) // 2  # codes are distinct
-        for (ci, bi), (cj, bj) in itertools.combinations(zip(cs, bs), 2):
-            if not (ci ^ cj) & (bi | bj):  # the codes differ at the delta edges
-                a, b = (Mag._trusted(graph_from_pair_code(n, c)) for c in (ci, cj))
-                d = tuple(sorted(e.token() for e in delta(a, b)))
-                counterexamples.append((a.canonical_key(), b.canonical_key(), d))
+    for i, j in _group_pairs(class_id):
+        # the codes differ only where neither member has a blanketed edge
+        k = np.flatnonzero((codes[i] ^ codes[j]) & (blanketed[i] | blanketed[j]) == 0)
+        for ci, cj in zip(codes[i[k]].tolist(), codes[j[k]].tolist()):
+            a, b = (Mag._trusted(graph_from_pair_code(n, c)) for c in (ci, cj))
+            d = tuple(sorted(e.token() for e in delta(a, b)))
+            counterexamples.append((a.canonical_key(), b.canonical_key(), d))
     return ConjectureReport(
         n=n,
         mag_count=len(codes),
         class_count=len(table.members),
         classes_examined=len(table.members),
-        pairs_examined=pairs_examined,
+        pairs_examined=sum(len(m) * (len(m) - 1) // 2 for m in table.members),
         counterexamples=tuple(counterexamples),
         closure_gaps=tuple((c, k) for c, k in enumerate(missed.tolist()) if k),
     )
-
-
-# Member pairs _bucket_verdicts decides at a time, as block rows times the
-# bucket size: the largest n = 5 bucket holds 4,231 graphs, whose full
-# uint64 candidate matrix would take 143 MB.
-_BLOCK_PAIRS = 1 << 14
 
 
 def _local_key_ids(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarray:
@@ -467,84 +491,69 @@ def _local_key_ids(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarray
     return np.unique(packed, return_inverse=True)[1]
 
 
-def _triple_masks(
-    pa: np.ndarray, ch: np.ndarray, sp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two uint64 masks per graph of the node rows over the shared ordered
-    triangle triples, and those triples.
+def _triple_masks(pa: np.ndarray, sp: np.ndarray) -> tuple:
+    """Two uint64 masks per graph of the parent and spouse rows, one bit per
+    ordered triple ``(q, b, y)`` of distinct nodes, and those triples as the
+    rows of an array in bit order: 60 for five nodes (more than 64 is an
+    error).
 
-    All the graphs must share one skeleton, so they share the ordered
-    triples ``(q, b, y)`` of pairwise adjacent nodes: at most 60 for five
-    nodes, one bit each (more than 64 is an error), returned as the rows of
-    an int64 array in bit order.  Bit t of ``f[i]`` is set when ``q -> y``
-    and ``b`` has an arrowhead at ``q`` in graph i; bit t of ``c[i]`` when
-    ``b`` is a collider on ``(q, b, y)`` there.  These are the only triples
+    Bit t of ``f[i]`` is set when ``q -> y`` and ``b`` has an arrowhead at
+    ``q`` in graph i; bit t of ``c[i]`` when ``b`` is a collider on ``(q, b,
+    y)`` there.  These are the only triples
     :func:`magmoves.equivalence._discriminating_witness` searches from, so
-    it returns None for graphs i and j whenever ``f[i] & f[j] & (c[i] ^
-    c[j])`` is 0; otherwise the set bits name the triples whose chains
-    decide the pair, which the block search of ``_bucket_verdicts`` follows.
+    it returns None for graphs i and j of one skeleton whenever ``f[i] &
+    f[j] & (c[i] ^ c[j])`` is 0; otherwise the set bits name the triples
+    whose chains decide the pair, which ``_pair_test`` follows.  Such a bit
+    marks a triangle of the shared skeleton: ``f`` makes q adjacent to y
+    and to b, and a collider in either graph makes b adjacent to y.
     """
-    adj = (pa[:, 0] | ch[:, 0] | sp[:, 0]).tolist()
-    triples = np.array(
-        [
-            (q, b, y)
-            for y in range(len(adj))
-            for q in iter_bits(adj[y])
-            for b in iter_bits(adj[q] & adj[y])
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
+    triples = itertools.permutations(range(pa.shape[0]), 3)
+    triples = np.array(list(triples), np.intp).reshape(-1, 3)
     if len(triples) > 64:
-        raise ValueError(f"{len(triples)} triangle triples exceed one uint64")
-    q, b, y = triples.T
-    pa = pa.T.astype(np.int64)
-    head = pa | sp.T
-    f = (pa[:, y] >> q) & (head[:, q] >> b) & 1
-    c = (head[:, b] >> q) & (head[:, b] >> y) & 1
-    weight = np.uint64(1) << np.arange(len(triples), dtype=np.uint64)
-    return (
-        (f.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
-        (c.astype(np.uint64) * weight).sum(axis=1, dtype=np.uint64),
-        triples,
-    )
-
-
-def _bucket_verdicts(
-    pa: np.ndarray, ch: np.ndarray, sp: np.ndarray
-) -> Iterator[np.ndarray]:
-    # The graphical test inside one local-key bucket, given its members'
-    # node rows, as bool blocks of consecutive member rows over all members.
-    # A pair is equivalent unless one of its candidate triples (q, b, y)
-    # (see _triple_masks) opens the chain _discriminating_witness looks
-    # for: from q along edges bi-directed in both graphs, through parents of
-    # y in both, to a node with an arrowhead in both from a non-neighbour of
-    # y.  All (pair, triple) items of a block run that search at once on
-    # uint8 node masks, which hold the sweeps' n <= 5.
-    n, count = pa.shape
-    f, c, triples = _triple_masks(pa, ch, sp)
-    q, y = triples[:, 0], triples[:, 2]
-    node = np.uint8(1) << np.arange(n, dtype=np.uint8)
-    far = ~((pa | ch | sp)[:, 0] | node)  # per y
-    pa, sp = pa.T.copy(), sp.T.copy()  # one row per member
+        raise ValueError(f"{len(triples)} node triples exceed one uint64")
     head = pa | sp
-    size = max(1, _BLOCK_PAIRS // count)
-    for start in range(0, count, size):
-        cand = f[start : start + size, None] & f & (c[start : start + size, None] ^ c)
-        block = np.ones(cand.shape, dtype=bool)
-        pi, pj = np.nonzero(cand)
-        if pi.size:
-            bits = cand[pi, pj].astype("<u8").view(np.uint8).reshape(-1, 8)
-            item, t = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
-            a, b = pi[item] + start, pj[item]
-            ti, ty = q[t], y[t]
-            bi = np.ascontiguousarray((sp[a] & sp[b]).T)  # one row per node
-            hits = np.packbits(
-                (head[a] & head[b] & far[ty, None]) != 0, axis=1, bitorder="little"
-            )[:, 0]
-            reach = _kernels.chain_reach(bi, node[ti], pa[a, ty] & pa[b, ty])
-            found = item[(reach & hits) != 0]
-            block[pi[found], pj[found]] = False
-        yield block
+    f, c = np.zeros((2, pa.shape[1]), np.uint64)
+    for t, (q, b, y) in enumerate(triples.tolist()):
+        f[(pa[y] >> q) & (head[q] >> b) & 1 != 0] |= np.uint64(1 << t)
+        c[(head[b] >> q) & (head[b] >> y) & 1 != 0] |= np.uint64(1 << t)
+    return f, c, triples
+
+
+def _pair_test(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray):
+    # The graphical test on pairs of graphs of the node rows that share a
+    # local key, as a function of index arrays a, b returning the verdict
+    # on each pair (a[k], b[k]).  A pair is equivalent unless one of its
+    # candidate triples (q, b, y) (see _triple_masks) opens the chain
+    # _discriminating_witness looks for: from q along edges bi-directed in
+    # both graphs, through parents of y in both, to a node with an
+    # arrowhead in both from a non-neighbour of y.  All (pair, candidate
+    # triple) items of a call run that search at once on uint8 node masks,
+    # which hold the sweeps' n <= 5.  Every input is a conjunction over the
+    # two graphs, so the verdict is symmetric.
+    f, c, triples = _triple_masks(pa, sp)
+    node = np.uint8(1) << np.arange(pa.shape[0], dtype=np.uint8)
+    far = ~(pa | ch | sp | node[:, None])  # per node y and graph
+    head = (pa | sp).T.copy()  # one row per graph
+
+    def verdicts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        cand = f[a] & f[b]
+        cand &= c[a] ^ c[b]
+        out = np.ones(len(a), bool)
+        k = np.flatnonzero(cand)
+        if not k.size:  # no pair has a triple to search
+            return out
+        bits = np.unpackbits(cand[k].astype("<u8").view(np.uint8), bitorder="little")
+        item = np.flatnonzero(bits)  # bit item & 63 of candidate k[item >> 6]
+        k, (q, _, y) = k[item >> 6], triples[item & 63].T
+        x, z = a[k], b[k]
+        hits = np.packbits(
+            head[x] & head[z] & far[y, x][:, None] != 0, axis=1, bitorder="little"
+        )[:, 0]
+        reach = _kernels.chain_reach(sp[:, x] & sp[:, z], node[q], pa[y, x] & pa[y, z])
+        out[k[reach & hits != 0]] = False
+        return out
+
+    return verdicts
 
 
 def _oracle_violations(table: _SweepTable) -> list[str]:
@@ -552,38 +561,25 @@ def _oracle_violations(table: _SweepTable) -> list[str]:
     # every ordered pair, in pair order.  The test is False across local
     # keys, so it runs only inside each key's bucket, where the keys are
     # already equal; across buckets, exactly the pairs in one class
-    # disagree.
-    pa, ch, sp = table.rows
+    # disagree.  Inside a bucket both the test and the classes are
+    # symmetric, and a graph agrees with itself, so each unordered pair is
+    # decided once and a disagreement is kept in both orders.
     class_id = table.class_id
-    bucket_of = _local_key_ids(pa, ch, sp)
+    bucket_of = _local_key_ids(*table.rows)
+    verdicts = _pair_test(*table.rows)
     found = []
-    by_bucket = np.argsort(bucket_of, kind="stable")
-    for members in np.split(by_bucket, np.cumsum(np.bincount(bucket_of))[:-1]):
-        cls = class_id[members]
-        start = 0
-        for block in _bucket_verdicts(pa[:, members], ch[:, members], sp[:, members]):
-            rows = members[start : start + len(block)]
-            brute = cls[start : start + len(block), None] == cls
-            r, j = np.nonzero(block != brute)
-            found.extend(
-                zip(
-                    rows[r].tolist(),
-                    members[j].tolist(),
-                    block[r, j].tolist(),
-                    brute[r, j].tolist(),
-                )
-            )
-            start += len(block)
-    bucket_of = bucket_of.tolist()
-    for members in table.members:
-        members = members.tolist()
-        if len({bucket_of[i] for i in members}) > 1:
-            found.extend(
-                (i, j, False, True)
-                for i in members
-                for j in members
-                if bucket_of[i] != bucket_of[j]
-            )
+    for i, j in _group_pairs(bucket_of):
+        graphical = verdicts(i, j)
+        brute = class_id[i] == class_id[j]
+        k = np.flatnonzero(graphical != brute)
+        i, j, graphical, brute = (x[k].tolist() for x in (i, j, graphical, brute))
+        found.extend(zip(i, j, graphical, brute))
+        found.extend(zip(j, i, graphical, brute))
+    first = bucket_of[[members[0] for members in table.members]]
+    for c in np.unique(class_id[bucket_of != first[class_id]]).tolist():
+        members = table.members[c]  # a class that spans buckets
+        i, j = np.nonzero(bucket_of[members, None] != bucket_of[members])
+        found.extend((a, b, False, True) for a, b in zip(*members[[i, j]].tolist()))
     found.sort()
     n, codes = table.n, table.codes.tolist()
     return [
@@ -607,11 +603,12 @@ def verify_theorems(n: int) -> EquivalenceReport:
     pair in the pair code and looking the code up, so each check is an
     array comparison of class ids; only a licensed move's result missing
     from the table or in another class goes through ``apply_move``, for the
-    violation text.  Inside each (skeleton,
-    unshielded-collider) bucket, the shared candidate-triple masks of
-    ``_triple_masks`` settle every pair with no triple to search as
+    violation text.  The graphical test runs on the unordered pairs inside
+    each (skeleton, unshielded-collider) bucket, streamed in chunks across
+    all buckets: the candidate-triple masks of ``_triple_masks``, computed
+    once for every MAG, settle every pair with no triple to search as
     equivalent, and the chains of the other pairs' candidate triples are
-    searched a block of rows at a time, vectorised over the pairs; the
+    searched at once for every (pair, triple) item of a chunk.  The
     verdict on each pair is the one the discriminating-path search alone
     would give, which the tests check on every in-bucket pair at n <= 4
     and, in the slow run, on every candidate pair at n = 5.
@@ -630,7 +627,7 @@ def _move_checks(table: _SweepTable) -> dict[str, CheckOutcome]:
     # The per-MAG checks of verify_theorems on the move kernel's bits.  A
     # violation is kept as (MAG, text) in move and pair order, so a stable
     # sort by MAG gives the order of a loop over the MAGs.
-    n, codes = table.n, table.codes
+    n, codes, by_code = table.n, table.codes, table.by_code
     for _ in table.mags:  # the independent Mag() check of every MAG
         pass
     pa, _, sp = table.rows
@@ -663,9 +660,11 @@ def _move_checks(table: _SweepTable) -> dict[str, CheckOutcome]:
             on = licensed >> np.uint64(x * n + y) & 1 != 0
             text = f"collider entry paths into {x} escape the blanket of {y}"
             report("lemma1", np.flatnonzero(on & ~_lemma1_rows(pa, sp, x, y)), text)
-        state = codes >> 2 * p & 3
+        state = codes[by_code] >> 2 * p & 3
         for u, v, mark in ((a, b, _FWD), (b, a, _REV)):
-            i = np.flatnonzero(state == mark)
+            # in pair-code order: a flip adds one constant to these codes,
+            # so the lookups are sorted
+            i = by_code[np.flatnonzero(state == mark)]
             bit = np.uint64(u * n + v)
             blanketed = licensed[i] >> bit & 1 != 0
             edge_screened = screened[i] >> bit & 1 != 0

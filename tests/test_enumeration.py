@@ -458,18 +458,15 @@ def test_bucketed_oracle_check_matches_full_pair_loop(
     if equivalent is None:
         equivalent = markov_equivalent
     else:
-        # inside a bucket the loop asks the bucket verdicts alone
-        monkeypatch.setattr(
-            enumeration,
-            "_bucket_verdicts",
-            lambda *rows: (
-                np.array(
-                    [[equivalent(Mag._trusted(a), Mag._trusted(b)) for b in graphs]]
-                )
-                for graphs in [_row_graphs(*rows)]
-                for a in graphs
-            ),
-        )
+        # inside a bucket the loop asks the pair test alone
+        def pair_test(*rows):
+            mags = [Mag._trusted(g) for g in _row_graphs(*rows)]
+            return lambda a, b: np.array(
+                [equivalent(mags[i], mags[j]) for i, j in zip(a.tolist(), b.tolist())],
+                dtype=bool,
+            )
+
+        monkeypatch.setattr(enumeration, "_pair_test", pair_test)
     if signature is None:
         signature = separation_signature
     else:
@@ -493,29 +490,35 @@ def _assert_local_key_ids_match(graphs):
     assert len(set(zip(keys, ids))) == len(set(keys)) == len(set(ids))
 
 
-def _assert_bucket_verdicts_match_search(mags, rows=None, monkeypatch=None):
-    # Every ordered pair of every local-key bucket among ``mags``, in blocks
-    # of ``rows`` member rows when given; returns the pair count and how
-    # many of them the search tells apart.
-    _assert_local_key_ids_match([m.graph for m in mags])
+def _assert_bucket_verdicts_match_search(mags, chunk=None, monkeypatch=None):
+    # Every ordered pair of every local-key bucket among ``mags``, i >= j
+    # included, through the sweep's pair test: with ``chunk`` given, the
+    # unordered pairs come from _group_pairs in chunks of that many pairs
+    # and are asked in both orders beside the diagonal.  Returns the pair
+    # count and how many of them the search tells apart.
+    graphs = [m.graph for m in mags]
+    _assert_local_key_ids_match(graphs)
+    verdicts = enumeration._pair_test(*_rows(graphs))
+    keys = [_local_key(g) for g in graphs]
     buckets = {}
-    for m in mags:
-        buckets.setdefault(_local_key(m.graph), []).append(m)
-    pairs = apart = 0
-    for members in buckets.values():
-        graphs = [m.graph for m in members]
-        if rows:
-            monkeypatch.setattr(enumeration, "_BLOCK_PAIRS", rows * len(graphs))
-        blocks = list(enumeration._bucket_verdicts(*_rows(graphs)))
-        if rows:
-            whole, rest = divmod(len(graphs), rows)
-            assert [len(b) for b in blocks] == [rows] * whole + [rest] * (rest > 0)
-        got = np.vstack(blocks).tolist()
-        want = [[equivalence_witness(a, b) is None for b in members] for a in members]
-        assert got == want, graphs
-        pairs += len(graphs) ** 2
-        apart += sum(not v for row in want for v in row)
-    return pairs, apart
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    pairs = [(i, j) for members in buckets.values() for i in members for j in members]
+    if chunk is not None:
+        monkeypatch.setattr(enumeration, "_PAIR_CHUNK", chunk)
+        number = {key: b for b, key in enumerate(buckets)}
+        chunks = list(enumeration._group_pairs(np.array([number[k] for k in keys])))
+        unordered = [(i, j) for i, j in pairs if i < j]
+        whole, rest = divmod(len(unordered), chunk)
+        assert [len(a) for a, _ in chunks] == [chunk] * whole + [rest] * (rest > 0)
+        a, b = (np.concatenate(x) for x in zip(*chunks))
+        assert list(zip(a.tolist(), b.tolist())) == unordered
+        diagonal = list(range(len(graphs)))
+        pairs = list(zip([*a, *b, *diagonal], [*b, *a, *diagonal]))
+    got = dict(zip(pairs, verdicts(*np.array(pairs).T).tolist()))
+    want = {(i, j): equivalence_witness(mags[i], mags[j]) is None for i, j in pairs}
+    assert got == want
+    return len(pairs), sum(not v for v in want.values())
 
 
 def test_bucket_verdicts_match_discriminating_search(mags_by_n):
@@ -541,16 +544,16 @@ def test_bucket_verdicts_match_discriminating_search_on_random_walks():
     assert apart > 0
 
 
-@pytest.mark.parametrize("rows", [1, 4, 7])
+@pytest.mark.parametrize("chunk", [1, 4, 7])
 def test_bucket_verdicts_match_discriminating_search_in_ragged_blocks(
-    monkeypatch, mags_by_n, rows
+    monkeypatch, mags_by_n, chunk
 ):
-    # every n = 4 bucket in blocks of 1, 4 or 7 member rows: the 219-graph
-    # bucket splits into 31 blocks of 7 and a last one of 2, and the
-    # 6-graph buckets, which hold every pair the search tells apart at
-    # n = 4, into blocks of 4 and 2
+    # the n = 4 in-bucket pairs in blocks of 1, 4 or 7 pairs: the 43,405
+    # unordered pairs make 6,200 blocks of 7 and a last one of 5, and the
+    # blocks cut across buckets, the 6-graph ones (which hold every pair the
+    # search tells apart at n = 4) included
     pairs, apart = _assert_bucket_verdicts_match_search(
-        mags_by_n[4], rows, monkeypatch
+        mags_by_n[4], chunk, monkeypatch
     )
     assert pairs == 89_302
     assert apart > 0
@@ -564,22 +567,26 @@ def test_bucket_verdicts_match_discriminating_search_on_every_n5_mag():
     assert len(graphs) == 328_924
     _assert_local_key_ids_match(graphs)
     buckets = {}
-    for g in graphs:
-        buckets.setdefault(_local_key(g), []).append(g)
+    for i, g in enumerate(graphs):
+        buckets.setdefault(_local_key(g), []).append(i)
+    pa, ch, sp = _rows(graphs)
+    verdicts = enumeration._pair_test(pa, ch, sp)
+    f, c, _ = _triple_masks(pa, sp)
+    heads = [_head_rows(g) for g in graphs]
     searches = 0
     for members in buckets.values():
-        rows = _rows(members)
-        f, c, _ = _triple_masks(*rows)
-        heads = [_head_rows(g) for g in members]
-        got = np.vstack(list(enumeration._bucket_verdicts(*rows)))
-        for i, g in enumerate(members):
+        members = np.array(members)
+        for i in members:
             want = np.ones(len(members), dtype=bool)
-            for j in np.flatnonzero(f[i] & f & (c[i] ^ c)):
+            for k in np.flatnonzero(f[i] & f[members] & (c[i] ^ c[members])):
                 searches += 1
-                want[j] = (
-                    _discriminating_witness(g, members[j], heads[i], heads[j]) is None
+                j = members[k]
+                want[k] = (
+                    _discriminating_witness(graphs[i], graphs[j], heads[i], heads[j])
+                    is None
                 )
-            assert (got[i] == want).all(), g
+            got = verdicts(np.full(len(members), i), members)
+            assert (got == want).all(), graphs[i]
     assert searches == 13_700_640
 
 
@@ -587,8 +594,9 @@ def test_triple_masks_stop_at_one_word():
     complete = MixedGraph(
         6, [directed(u, v) for u in range(6) for v in range(u + 1, 6)]
     )
+    pa, _, sp = _rows([complete])
     with pytest.raises(ValueError):
-        _triple_masks(*_rows([complete]))
+        _triple_masks(pa, sp)
 
 
 def _literal_counterexamples(n):
@@ -662,20 +670,20 @@ def test_conjecture_masks_match_edge_by_edge_check(monkeypatch):
     assert list(rep.closure_gaps) == gaps
 
 
+def _leaking(g, kind, x, y, real=transform._failure):
+    # x -> y is blanketed exactly when x < y
+    if kind is not transform.MoveKind.DIR_TO_BI:
+        return real(g, kind, x, y)
+    return None if x < y else ("parent", None)
+
+
 def test_conjecture_closure_is_the_walk_inside_each_class(monkeypatch):
     # A leaking predicate: x -> y is blanketed exactly when x < y, so some
     # licensed dir-to-bi moves lead out of the MAGs, some into another
     # class, and the denied ones leave members unreached.  The sweep's
     # closure must be the literal walk over apply_move results that stays
     # inside the class, and its counterexamples the edge-by-edge ones.
-    real = transform._failure
-
-    def leaking(g, kind, x, y):
-        if kind is not transform.MoveKind.DIR_TO_BI:
-            return real(g, kind, x, y)
-        return None if x < y else ("parent", None)
-
-    monkeypatch.setattr(transform, "_failure", leaking)
+    monkeypatch.setattr(transform, "_failure", _leaking)
     # the sweep's move kernel as the literal legal_moves bits
     monkeypatch.setattr(_kernels, "move_block", move_bits_by_legal_moves)
     part = partition_into_classes(enumeration.enumerate_mags(4))
@@ -703,6 +711,60 @@ def test_conjecture_closure_is_the_walk_inside_each_class(monkeypatch):
     want = _literal_counterexamples(4)
     assert want
     assert list(rep.counterexamples) == want
+
+
+def test_pair_chunks_leave_both_sweep_reports_unchanged(monkeypatch):
+    # Both sweeps test their pairs in _group_pairs chunks; with one pair, 7
+    # pairs and the default per chunk the reports must be equal.  verify
+    # runs under a coarse signature, the local key, so that every pair the
+    # search tells apart is a thm2_vs_oracle violation (the skeleton size
+    # of the bucketed-oracle test gives 1.55 M violations at n = 4, too
+    # many texts to write three times here), and conjecture under the
+    # leaking predicate, which gives 5 counterexamples.
+    def local_key_ids(*rows):
+        first = {}
+        return [first.setdefault(_local_key(g), len(first)) for g in _row_graphs(*rows)]
+
+    reports = []
+    for chunk in (enumeration._PAIR_CHUNK, 1, 7):
+        monkeypatch.setattr(enumeration, "_PAIR_CHUNK", chunk)
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_signature_ids", local_key_ids)
+            verify = enumeration.verify_theorems(4)
+        with monkeypatch.context() as patch:
+            patch.setattr(transform, "_failure", _leaking)
+            patch.setattr(_kernels, "move_block", move_bits_by_legal_moves)
+            conjecture = enumeration.test_conjecture1(4)
+        reports.append((verify, conjecture))
+    assert len(reports[0][0].checks["thm2_vs_oracle"].violations) == 384
+    assert reports[0][1].counterexamples == (
+        ("4;0<>1;0<>2;1<>3;2>1;3>0", "4;0<>2;1<>2;1<>3;1>0;3>0", ("0<>1", "2>1")),
+        ("4;0<>1;0<>3;1<>2;2>0;3>1", "4;0<>3;1<>2;1<>3;1>0;2>0", ("0<>1", "3>1")),
+        (
+            "4;0<>1;0<>3;1<>2;2<>3;2>0;3>1",
+            "4;0<>2;0<>3;1<>2;1<>3;1>0;3>2",
+            ("0<>1", "2<>3", "2>0", "3>1"),
+        ),
+        ("4;0<>2;0<>3;1<>2;1>0;3>2", "4;0<>3;1<>2;1>0;2<>3;2>0", ("0<>2", "3>2")),
+        ("4;0<>2;0>1;1<>2;1<>3;3>2", "4;0<>2;0>1;1<>3;2<>3;2>1", ("1<>2", "3>2")),
+    )
+    assert reports[1] == reports[2] == reports[0]
+
+
+def test_sweep_lookups_ask_for_sorted_codes(monkeypatch):
+    # A move or mark flip adds one constant to the codes of the MAGs it
+    # applies to, so taken in code order they stay sorted for searchsorted.
+    lookup, queries = enumeration._SweepTable.lookup, []
+
+    def recording(table, codes):
+        queries.append(codes)
+        return lookup(table, codes)
+
+    monkeypatch.setattr(enumeration._SweepTable, "lookup", recording)
+    enumeration.verify_theorems(4)
+    enumeration.test_conjecture1(4)
+    assert len(queries) == 84
+    assert all((np.diff(codes) > 0).all() for codes in queries)
 
 
 @pytest.mark.slow

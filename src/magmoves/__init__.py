@@ -59,17 +59,6 @@ from .transform import (
     is_screened,
     legal_moves,
 )
-from .enumeration import (
-    ClassPartition,
-    ConjectureReport,
-    EquivalenceReport,
-    enumerate_mags,
-    check_lemma1,
-    graph_from_pair_code,
-    partition_into_classes,
-    test_conjecture1,
-    verify_theorems,
-)
 from .io import (
     graph_to_dot,
     graph_to_json,
@@ -80,6 +69,27 @@ from .io import (
 )
 
 __version__ = "0.1.0"
+
+# The sweeps load numpy; these names import ``enumeration`` on first use,
+# so one-graph work never loads it.
+_ENUMERATION = {
+    "ClassPartition", "ConjectureReport", "EquivalenceReport",
+    "enumerate_mags", "check_lemma1", "graph_from_pair_code",
+    "partition_into_classes", "test_conjecture1", "verify_theorems",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ENUMERATION:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import enumeration
+
+    value = globals()[name] = getattr(enumeration, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ENUMERATION)
 
 __all__ = [
     "InputError",

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import enumeration
 from .errors import InputError
 from .graph import (
     EdgeKind,
@@ -173,6 +172,8 @@ def _cmd_class(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     # One write per decoding block; what is held when the stream stops, on
     # an error too, is written before the error surfaces.
+    from . import enumeration  # numpy loads only for the sweep commands
+
     if args.format == "json":
         render = lambda g: json.dumps(graph_to_json_dict(g)) + "\n"
     elif args.format == "dot":
@@ -194,12 +195,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
+    from . import enumeration
+
     report = enumeration.test_conjecture1(args.n)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import enumeration
+
     report = enumeration.verify_theorems(args.n)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if all(c.passed for c in report.checks.values()) else 1

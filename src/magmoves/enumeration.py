@@ -472,21 +472,21 @@ def _local_key_ids(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarray
     # equivalence._local_key values are: the adjacency rows beside one bit
     # per (a, z, b), a < b, that is an unshielded collider, compared as one
     # opaque byte row per graph.
-    n = pa.shape[0]
-    adj, pa, sp = (pa | ch | sp).T, pa.T, sp.T
-    into = pa | sp
-    a, z, b = np.array(
-        [
-            (a, z, b)
-            for z in range(n)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if z not in (a, b)
-        ],
-        dtype=np.uint8,
-    ).reshape(-1, 3).T
-    uc = (into[:, z] >> a) & (into[:, z] >> b) & ~(adj[:, a] >> b) & 1
-    rows = np.ascontiguousarray(np.hstack([adj, np.packbits(uc, axis=1)]))
+    n, count = pa.shape
+    adj, into = pa | ch | sp, pa | sp
+    triples = [
+        (a, z, b)
+        for z in range(n)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if z not in (a, b)
+    ]
+    # triple t is bit 7 - t % 8 of byte n + t // 8, as np.packbits sets it
+    rows = np.zeros((count, n + -(-len(triples) // 8)), np.uint8)
+    rows[:, :n] = adj.T
+    for t, (a, z, b) in enumerate(triples):
+        uc = (into[z] >> a) & (into[z] >> b) & ~(adj[a] >> b) & 1
+        rows[:, n + t // 8] |= uc << (7 - t % 8)
     packed = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     return np.unique(packed, return_inverse=True)[1]
 

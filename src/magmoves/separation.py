@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from .errors import InputError, _shown
-from .graph import MixedGraph, iter_bits, require_graph, simple_paths_between
+from .graph import MixedGraph, iter_bits, require_graph
 
 __all__ = [
     "SeparationQuery",
@@ -82,15 +82,16 @@ def _query_masks(
     return zmask, anz
 
 
-def _m_connected_masks(g: MixedGraph, x: int, y: int, zmask: int, anz: int) -> bool:
-    ybit = 1 << y
-    # Frontier split by how the last edge arrived: with an arrowhead or a tail.
-    head = (g._ch[x] | g._sp[x])
+def _walk_states(
+    g: MixedGraph, x: int, zmask: int, anz: int, stop: int = 0
+) -> tuple[int, int]:
+    # The states m-connecting walks from x reach, as two node masks: nodes
+    # the walk's last edge enters with an arrowhead, and with a tail.  The
+    # search ends early once it reaches a node of ``stop``.
+    head = g._ch[x] | g._sp[x]
     tail = g._pa[x]
-    if (head | tail) & ybit:
-        return True
     seen_head, seen_tail = head, tail
-    while head or tail:
+    while (head | tail) and not (seen_head | seen_tail) & stop:
         new_head = new_tail = 0
         for w in iter_bits(head):
             allowed = 0
@@ -105,13 +106,16 @@ def _m_connected_masks(g: MixedGraph, x: int, y: int, zmask: int, anz: int) -> b
                 allowed = g._adj[w]
                 new_head |= allowed & (g._ch[w] | g._sp[w])
                 new_tail |= allowed & g._pa[w]
-        if (new_head | new_tail) & ybit:
-            return True
         head = new_head & ~seen_head
         tail = new_tail & ~seen_tail
         seen_head |= head
         seen_tail |= tail
-    return False
+    return seen_head, seen_tail
+
+
+def _m_connected_masks(g: MixedGraph, x: int, y: int, zmask: int, anz: int) -> bool:
+    head, tail = _walk_states(g, x, zmask, anz, 1 << y)
+    return bool(((head | tail) >> y) & 1)
 
 
 def m_connected(g: MixedGraph, x: int, y: int, given: Iterable[int] = ()) -> bool:
@@ -120,28 +124,55 @@ def m_connected(g: MixedGraph, x: int, y: int, given: Iterable[int] = ()) -> boo
     return _m_connected_masks(g, x, y, zmask, anz)
 
 
-def _path_m_connects(
-    g: MixedGraph, path: tuple[int, ...], zmask: int, anz: int
-) -> bool:
-    for i in range(1, len(path) - 1):
-        w = path[i]
-        into = g._pa[w] | g._sp[w]  # neighbours whose edge points into w
-        if (into >> path[i - 1]) & (into >> path[i + 1]) & 1:
-            if not (anz >> w) & 1:
-                return False
-        elif (zmask >> w) & 1:
-            return False
-    return True
-
-
 def find_connecting_path(
     g: MixedGraph, x: int, y: int, given: Iterable[int] = ()
 ) -> tuple[int, ...] | None:
-    """First m-connecting simple path in DFS order, or None."""
+    """First m-connecting simple path in DFS order, or None.
+
+    The order is ``simple_paths_between``'s.  One sweep from y first marks
+    the states (c, mark at c) from which an m-connecting walk continues to
+    y, and the search extends a prefix by c only when the prefix's last
+    node passes its collider test with c as successor and c's state is
+    marked (or c is y).  The rest of any m-connecting path through the
+    prefix and c is such a walk, so no skipped subtree holds one and the
+    first path found is unchanged.  When x and y are m-separated x has no
+    marked neighbour, so this is one sweep; when a path exists the search
+    may still backtrack exponentially, through nodes whose walks to y all
+    run back through the prefix.
+    """
     zmask, anz = _query_masks(g, x, y, given)
-    for path in simple_paths_between(g, x, y):
-        if _path_m_connects(g, path, zmask, anz):
-            return path
+    pa, ch, sp = g._pa, g._ch, g._sp
+    ybit = 1 << y
+    head, tail = _walk_states(g, y, zmask, anz)
+    # nodes that continue a walk to y when entered with an arrowhead, and
+    # with a tail; y itself ends one either way
+    on_head = (head & anz) | (tail & ~zmask) | ybit
+    on_tail = (head | tail) & ~zmask | ybit
+
+    def steps(w: int, allowed: int) -> int:
+        # the successors among ``allowed`` whose state continues to y
+        return (ch[w] | sp[w]) & allowed & on_head | pa[w] & allowed & on_tail
+
+    # frames of (path, nodes on it, successors left to try)
+    stack = [((x,), 1 << x, steps(x, g._adj[x]))]
+    while stack:
+        path, visited, rest = stack[-1]
+        if rest & ybit:
+            return path + (y,)
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        stack[-1] = (path, visited, rest ^ low)
+        w, c = path[-1], low.bit_length() - 1
+        if (ch[w] | sp[w]) & low:  # c is entered with an arrowhead
+            allowed = pa[c] | sp[c] if (anz >> c) & 1 else 0  # collider at c
+            if not (zmask >> c) & 1:
+                allowed |= ch[c]
+        else:  # entered with a tail, so c is outside Z (see on_tail)
+            allowed = g._adj[c]
+        visited |= low
+        stack.append((path + (c,), visited, steps(c, allowed) & ~visited))
     return None
 
 

@@ -25,6 +25,7 @@ from magmoves import (
 )
 from magmoves.equivalence import _discriminates_forward
 from magmoves.graph import EdgeKind, MixedGraph, inducing_path_witness, iter_bits
+from magmoves.separation import _query_masks
 from magmoves.transform import (
     blanketed_bidirected_violation,
     blanketed_directed_violation,
@@ -267,6 +268,32 @@ def m_connected_naive(g: MixedGraph, x: int, y: int, given=()) -> bool:
         ):
             return True
     return False
+
+
+def _path_m_connects(
+    g: MixedGraph, path: tuple[int, ...], zmask: int, anz: int
+) -> bool:
+    for i in range(1, len(path) - 1):
+        w = path[i]
+        into = g._pa[w] | g._sp[w]  # neighbours whose edge points into w
+        if (into >> path[i - 1]) & (into >> path[i + 1]) & 1:
+            if not (anz >> w) & 1:
+                return False
+        elif (zmask >> w) & 1:
+            return False
+    return True
+
+
+def connecting_path_by_enumeration(
+    g: MixedGraph, x: int, y: int, given=()
+) -> tuple[int, ...] | None:
+    """The first path of ``simple_paths_between`` that m-connects ``x`` and
+    ``y`` given ``given``, or None: every simple path is tested in turn."""
+    zmask, anz = _query_masks(g, x, y, given)
+    for path in simple_paths_between(g, x, y):
+        if _path_m_connects(g, path, zmask, anz):
+            return path
+    return None
 
 
 def _colliders_naive(g: MixedGraph) -> set[tuple[int, int, int]]:

@@ -395,6 +395,73 @@ def test_enumerate_into_a_closed_pipe_exits_one_without_traceback():
     assert b"Traceback" not in err
 
 
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+
+import magmoves
+from magmoves import cli
+
+path = sys.argv[1]
+commands = [
+    ["validate", path],
+    ["separate", path, "--x", "X", "--y", "Y", "--given", "Z"],
+    ["equiv", path, path],
+    ["moves", path],
+    ["apply", path, "--kind", "reverse", "--x", "X", "--y", "Z"],
+    ["class", path],
+    ["dot", path],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert set(magmoves.__all__) <= set(dir(magmoves))
+assert "numpy" not in sys.modules
+assert len(list(magmoves.enumerate_mags(3))) == 56
+assert "numpy" in sys.modules
+"""
+
+_STAR_SCRIPT = """
+import sys
+
+from magmoves import *
+
+assert "numpy" in sys.modules
+assert len(list(enumerate_mags(3))) == 56
+"""
+
+_ENUMERATE_SCRIPT = """
+import sys
+
+from magmoves import cli
+
+assert "numpy" not in sys.modules
+assert cli.main(["enumerate", "--n", "2"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_one_graph_commands_load_no_numpy(write_graph):
+    # a fresh interpreter each, since this one has numpy loaded already
+    g = MixedGraph(3, [directed(0, 1), directed(1, 2)], labels=("X", "Z", "Y"))
+    src = os.path.dirname(os.path.dirname(magmoves.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for script, argv in (
+        (_NO_NUMPY_SCRIPT, [write_graph(g)]),
+        (_STAR_SCRIPT, []),
+        (_ENUMERATE_SCRIPT, []),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n2;0<>1\n2;0>1\n2;1>0\n"
+
+
 def test_enumerate_bad_n(capsys):
     assert main(["enumerate", "--n", "9"]) == 2
     assert "between 1 and 5" in capsys.readouterr().err

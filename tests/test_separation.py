@@ -20,6 +20,7 @@ from magmoves.separation import _first_min_cut
 
 from oracles import (
     conditioning_sets,
+    connecting_path_by_enumeration,
     find_separator_bruteforce,
     first_vertex_cut_bruteforce,
     m_connected_naive,
@@ -136,6 +137,52 @@ def test_witness_path_consistency():
             for z in conditioning_sets(4, x, y):
                 path = find_connecting_path(g, x, y, z)
                 assert (path is not None) == m_connected(g, x, y, z)
+
+
+def test_connecting_path_matches_enumeration_exhaustively():
+    # every mixed graph with n <= 4, every ordered pair and every Z
+    queries = 0
+    for n in range(2, 5):
+        for code in range(4 ** (n * (n - 1) // 2)):
+            g = graph_from_pair_code(n, code)
+            for x, y in itertools.permutations(range(n), 2):
+                for z in conditioning_sets(n, x, y):
+                    want = connecting_path_by_enumeration(g, x, y, z)
+                    assert find_connecting_path(g, x, y, z) == want, (g, x, y, z)
+                    queries += 1
+    assert queries == 197_384
+
+
+def test_connecting_path_matches_enumeration_on_random_graphs():
+    rng = random.Random(20261020)
+    found = 0
+    for _ in range(20_000):
+        n = rng.randint(5, 10)
+        # each pair unjoined with probability 0.6, else a uniform mark
+        code = 0
+        for p in range(n * (n - 1) // 2):
+            code |= (0 if rng.random() < 0.6 else rng.randint(1, 3)) << 2 * p
+        g = graph_from_pair_code(n, code)
+        x, y = rng.sample(range(n), 2)
+        z = [v for v in range(n) if v not in (x, y) and rng.random() < 0.3]
+        want = connecting_path_by_enumeration(g, x, y, z)
+        assert find_connecting_path(g, x, y, z) == want, (g, x, y, z)
+        found += want is not None
+    assert 0 < found < 20_000
+
+
+def test_connecting_path_ends_at_once_when_none_exists():
+    # x -> w -> y for every middle node w, the middle nodes pairwise <->,
+    # and Z the middle nodes: every one of the about e * (n - 2)! simple
+    # paths is blocked
+    for n in range(11, 15):
+        x, y, middle = 0, n - 1, range(1, n - 1)
+        edges = [directed(x, w) for w in middle] + [directed(w, y) for w in middle]
+        edges += [bidirected(a, b) for a, b in itertools.combinations(middle, 2)]
+        g = MixedGraph(n, edges)
+        t0 = time.perf_counter()
+        assert find_connecting_path(g, x, y, middle) is None
+        assert time.perf_counter() - t0 < 0.1
 
 
 def _nonadjacent_ordered_pairs(g):

@@ -87,8 +87,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     x, y = _node_ids(g, [args.x, args.y])
     given = _node_ids(g, _split_labels(args.given))
-    connected = m_connected(g, x, y, given)
-    path = find_connecting_path(g, x, y, given) if connected else None
+    path = find_connecting_path(g, x, y, given)
+    connected = path is not None
     if args.format == "json":
         labels = [g.labels[v] for v in path] if path else None
         print(json.dumps({"connected": connected, "path": labels}))

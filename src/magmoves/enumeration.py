@@ -25,6 +25,7 @@ from .graph import (
     Mag,
     MixedGraph,
     _check_labels,
+    _is_mag_rows,
     _pair_edge,
     _pair_shift,
     _put_edge,
@@ -125,8 +126,9 @@ def _canonical_order(n: int) -> tuple[np.ndarray, ...]:
     return codes, perm, seq, np.array([""] + [";" + tok for tok in order])
 
 
-# Codes enumerate_mags decodes at a time.  Blocks of 4,096 raised the peak
-# memory of `enumerate --n 5` by about 2 MB and ran no faster.
+# Codes enumerate_mags decodes, and _SweepTable.check tests, at a time.
+# Blocks of 4,096 raised the peak memory of `enumerate --n 5` by about 2 MB
+# and ran no faster.
 _BLOCK = 2048
 
 
@@ -222,13 +224,12 @@ class _SweepTable:
     count)) and class.  Classes are numbered by their smallest canonical
     index, as in :class:`ClassPartition`; ``members`` lists each class's
     indices, and ``by_code`` all indices in pair-code order.  ``lookup``
-    finds pair codes among the kernel's sorted codes.
-    ``mags`` streams the MAGs in canonical order, once, as
-    :func:`enumerate_mags` does: each is checked by ``Mag()`` and dropped.
+    finds pair codes among the kernel's sorted codes, and ``check`` runs
+    the test behind ``Mag()`` on every MAG.
     """
 
     def __init__(self, n: int) -> None:
-        codes, perm, seq, tokens = _canonical_order(n)
+        codes, perm, _, _ = _canonical_order(n)
         self.n, self.codes = n, codes[perm]
         self.rows = _kernels.node_rows(n, self.codes)
         _, first, inverse = np.unique(
@@ -239,7 +240,19 @@ class _SweepTable:
         by_class = np.argsort(ids, kind="stable")
         self.members = np.split(by_class, np.cumsum(np.bincount(ids))[:-1])
         self._sorted, self.by_code = codes, np.argsort(perm)
-        self.mags = _checked_mags(n, codes, perm, seq, tokens)
+
+    def check(self) -> None:
+        """The independent check of every MAG, in canonical order: the test
+        behind ``Mag()`` on its node rows, with no graph built.  The first
+        MAG that fails is decoded, and ``Mag()`` raises
+        :class:`NotAMagError` naming the witness, as in
+        :func:`enumerate_mags`."""
+        n = self.n
+        for start in range(0, len(self.codes), _BLOCK):
+            rows = [r[:, start : start + _BLOCK].T.tolist() for r in self.rows]
+            for k, (pa, ch, sp) in enumerate(zip(*rows), start):
+                if not _is_mag_rows(pa, ch, sp, [None] * n):
+                    Mag(graph_from_pair_code(n, self.codes[k]))
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """The canonical index of each pair code, -1 for one not a MAG."""
@@ -416,20 +429,20 @@ def test_conjecture1(n: int) -> ConjectureReport:
     """Sweep every Markov-equivalent MAG pair on ``n`` nodes for a delta edge
     that is blanketed, and every class for members the move closure misses.
 
-    Every MAG of the sweep table (see ``_SweepTable``) is streamed through
-    ``Mag()``.  The move kernel (``_kernels.move_block``) gives every MAG's
-    blanketed edges and licensed moves at once, and a move's result is
-    found by patching the moved pair in the pair code and looking the code
-    up, so no graph is built.  The closure starts at each class's smallest
-    key and follows the moves whose result is in the class; a licensed move
-    that leaves its class is a ``thm3_sound`` violation of
-    ``verify_theorems``.  The pairs of each class are tested in chunks
-    across all classes, as one array expression on pair codes and blanket
-    bits per chunk.  Counterexamples are reported, never asserted away.
+    Every MAG of the sweep table (see ``_SweepTable``) goes through the
+    test behind ``Mag()`` on its node rows.  The move kernel
+    (``_kernels.move_block``) gives every MAG's blanketed edges and
+    licensed moves at once, and a move's result is found by patching the
+    moved pair in the pair code and looking the code up, so no graph is
+    built.  The closure starts at each class's smallest key and follows the
+    moves whose result is in the class; a licensed move that leaves its
+    class is a ``thm3_sound`` violation of ``verify_theorems``.  The pairs
+    of each class are tested in chunks across all classes, as one array
+    expression on pair codes and blanket bits per chunk.  Counterexamples
+    are reported, never asserted away.
     """
     table = _SweepTable(n)
-    for _ in table.mags:  # the independent Mag() check of every MAG
-        pass
+    table.check()
     # Per MAG: both bits of each pair position where the edge is blanketed,
     # that is directed and blanketed or bi-directed and blanketed against an
     # endpoint; and the moves that reach a MAG of the class, as index pairs.
@@ -542,9 +555,17 @@ def _pair_test(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray):
         k = np.flatnonzero(cand)
         if not k.size:  # no pair has a triple to search
             return out
-        bits = np.unpackbits(cand[k].astype("<u8").view(np.uint8), bitorder="little")
-        item = np.flatnonzero(bits)  # bit item & 63 of candidate k[item >> 6]
-        k, (q, _, y) = k[item >> 6], triples[item & 63].T
+        # one item per set bit, peeled off the candidates lowest first
+        cand, items, lows = cand[k], [], []
+        while k.size:
+            low = cand & -cand
+            items.append(k)
+            lows.append(low)
+            cand ^= low
+            live = cand != 0
+            k, cand = k[live], cand[live]
+        t = np.bitwise_count(np.concatenate(lows) - np.uint64(1))
+        k, (q, _, y) = np.concatenate(items), triples[t].T
         x, z = a[k], b[k]
         hits = np.packbits(
             head[x] & head[z] & far[y, x][:, None] != 0, axis=1, bitorder="little"
@@ -597,21 +618,21 @@ def verify_theorems(n: int) -> EquivalenceReport:
     screened reversal characterization, both path lemmas behind them, and
     agreement of the graphical equivalence test with the brute-force oracle
     on every ordered pair.  Every MAG of the sweep table (see
-    ``_SweepTable``) is streamed through ``Mag()``, and the move kernel
-    (``_kernels.move_block``) gives every MAG's licensed and screened moves
-    at once.  The MAG across a move or a mark flip is found by patching the
-    pair in the pair code and looking the code up, so each check is an
-    array comparison of class ids; only a licensed move's result missing
-    from the table or in another class goes through ``apply_move``, for the
-    violation text.  The graphical test runs on the unordered pairs inside
-    each (skeleton, unshielded-collider) bucket, streamed in chunks across
-    all buckets: the candidate-triple masks of ``_triple_masks``, computed
-    once for every MAG, settle every pair with no triple to search as
-    equivalent, and the chains of the other pairs' candidate triples are
-    searched at once for every (pair, triple) item of a chunk.  The
-    verdict on each pair is the one the discriminating-path search alone
-    would give, which the tests check on every in-bucket pair at n <= 4
-    and, in the slow run, on every candidate pair at n = 5.
+    ``_SweepTable``) goes through the test behind ``Mag()`` on its node
+    rows, and the move kernel (``_kernels.move_block``) gives every MAG's
+    licensed and screened moves at once.  The MAG across a move or a mark
+    flip is found by patching the pair in the pair code and looking the code
+    up, so each check is an array comparison of class ids; only a licensed
+    move's result missing from the table or in another class goes through
+    ``apply_move``, for the violation text.  The graphical test runs on the
+    unordered pairs inside each (skeleton, unshielded-collider) bucket,
+    streamed in chunks across all buckets: the candidate-triple masks of
+    ``_triple_masks``, computed once for every MAG, settle every pair with
+    no triple to search as equivalent, and the chains of the other pairs'
+    candidate triples are searched at once for every (pair, triple) item of
+    a chunk.  The verdict on each pair is the one the discriminating-path
+    search alone would give, which the tests check on every in-bucket pair
+    at n <= 4 and, in the slow run, on every candidate pair at n = 5.
     """
     table = _SweepTable(n)
     checks = _move_checks(table)
@@ -628,8 +649,7 @@ def _move_checks(table: _SweepTable) -> dict[str, CheckOutcome]:
     # violation is kept as (MAG, text) in move and pair order, so a stable
     # sort by MAG gives the order of a loop over the MAGs.
     n, codes, by_code = table.n, table.codes, table.by_code
-    for _ in table.mags:  # the independent Mag() check of every MAG
-        pass
+    table.check()
     pa, _, sp = table.rows
     bits = _kernels.move_block(*table.rows)
     licensed, screened = bits[0] | bits[1], bits[2]

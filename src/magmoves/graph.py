@@ -321,25 +321,7 @@ class MixedGraph:
 
     def _ancestor_mask(self, x: int) -> int:
         # ancestor_mask for a node the caller knows is in range.
-        an = self._an
-        cached = an[x]
-        if cached is not None:
-            return cached
-        pa = self._pa
-        seen = 1 << x
-        todo = pa[x]
-        while todo:
-            low = todo & -todo
-            w = low.bit_length() - 1
-            known = an[w]
-            if known is None:
-                seen |= low
-                todo |= pa[w]
-            else:
-                seen |= known  # a cached set is already closed under parents
-            todo &= ~seen
-        an[x] = seen
-        return seen
+        return _ancestors(self._pa, self._an, x)
 
     # -- structure helpers -------------------------------------------------
 
@@ -394,6 +376,28 @@ class MixedGraph:
 
     def __repr__(self) -> str:
         return f"MixedGraph({self.canonical_key()!r})"
+
+
+def _ancestors(pa: list[int], an: list[int | None], x: int) -> int:
+    # The ancestor mask of x from the parent rows ``pa``, memoised in ``an``
+    # (None for a node not yet closed).
+    seen = an[x]
+    if seen is not None:
+        return seen
+    seen = 1 << x
+    todo = pa[x]
+    while todo:
+        low = todo & -todo
+        w = low.bit_length() - 1
+        known = an[w]
+        if known is None:
+            seen |= low
+            todo |= pa[w]
+        else:
+            seen |= known  # a cached set is already closed under parents
+        todo &= ~seen
+    an[x] = seen
+    return seen
 
 
 # -- paths ------------------------------------------------------------------
@@ -535,10 +539,18 @@ def is_ancestral(g: MixedGraph) -> bool:
     """No directed cycles, and no directed path between the endpoints of any
     bi-directed edge."""
     require_graph(g)
-    for x in range(g.n):
+    return _ancestral(g._pa, g._ch, g._sp, g._an)
+
+
+def _ancestral(
+    pa: list[int], ch: list[int], sp: list[int], an: list[int | None]
+) -> bool:
+    # is_ancestral on the node rows, with ``an`` the ancestor masks as
+    # _ancestors memoises them; an ancestral graph leaves every mask filled.
+    for x in range(len(pa)):
         # a proper ancestor of x that is also its child closes a cycle; one
         # that is its spouse has a directed path into the bi-directed edge
-        if g._ancestor_mask(x) & ~(1 << x) & (g._ch[x] | g._sp[x]):
+        if _ancestors(pa, an, x) & ~(1 << x) & (ch[x] | sp[x]):
             return False
     return True
 
@@ -565,21 +577,22 @@ def inducing_path_witness(
         raise InputError("inducing path endpoints must differ")
     if g.has_edge(x, y):
         return (x, y)
-    return _inducing_path(g, x, y, g._ancestor_mask(x) | g._ancestor_mask(y))
+    anxy = g._ancestor_mask(x) | g._ancestor_mask(y)
+    return _inducing_path(g._ch, g._sp, x, y, anxy)
 
 
 def _inducing_path(
-    g: MixedGraph, x: int, y: int, anxy: int
+    ch: list[int], sp: list[int], x: int, y: int, anxy: int
 ) -> tuple[int, ...] | None:
-    # inducing_path_witness for distinct, valid, non-adjacent x and y, with
-    # ``anxy`` the union of their ancestor masks.  Breadth-first search over
-    # the bi-directed core, taking nodes in ascending order: it starts at the
-    # nodes with an arrowhead on their edge from x and accepts the first node
-    # it pops with an arrowhead on its edge from y.
+    # inducing_path_witness for distinct, valid, non-adjacent x and y of the
+    # child and spouse rows, with ``anxy`` the union of their ancestor
+    # masks.  Breadth-first search over the bi-directed core, taking nodes
+    # in ascending order: it starts at the nodes with an arrowhead on their
+    # edge from x and accepts the first node it pops with an arrowhead on
+    # its edge from y.
     allowed = anxy & ~((1 << x) | (1 << y))
-    accept = (g._ch[y] | g._sp[y]) & allowed
-    sp = g._sp
-    parent = dict.fromkeys(iter_bits((g._ch[x] | g._sp[x]) & allowed), x)
+    accept = (ch[y] | sp[y]) & allowed
+    parent = dict.fromkeys(iter_bits((ch[x] | sp[x]) & allowed), x)
     queue = deque(parent)
     while queue:
         w = queue.popleft()
@@ -623,16 +636,15 @@ def maximality_witness(
     """
     if not is_ancestral(g):
         raise PreconditionError("maximality is only defined on ancestral graphs")
-    return _ancestral_maximality_witness(g)
+    return _maximality_gap(g._pa, g._ch, g._sp, g._an)
 
 
-def _ancestral_maximality_witness(
-    g: MixedGraph,
+def _maximality_gap(
+    pa: list[int], ch: list[int], sp: list[int], an: list[int]
 ) -> tuple[int, int, tuple[int, ...]] | None:
-    # maximality_witness for a graph known to be ancestral, over the
-    # candidates its docstring derives.
-    adj, pa, ch, sp = g._adj, g._pa, g._ch, g._sp
-    n = g.n
+    # maximality_witness on the node rows of an ancestral graph, with ``an``
+    # every node's ancestor mask, over the candidates its docstring derives.
+    n = len(pa)
     paired = 0  # nodes with a spouse
     for w in range(n):
         if sp[w]:
@@ -641,13 +653,14 @@ def _ancestral_maximality_witness(
         return None
     full = (1 << n) - 1
     for x in range(n):
-        partners = full & ~adj[x] & ~((2 << x) - 1)  # non-adjacent, above x
+        # non-adjacent, above x
+        partners = full & ~(pa[x] | ch[x] | sp[x]) & ~((2 << x) - 1)
         if not partners:
             continue
         firsts = (ch[x] | sp[x]) & paired  # candidates for w1
         if not firsts:
             continue
-        anx = g._ancestor_mask(x)
+        anx = an[x]
         lasts = anx & paired & ~(1 << x)  # candidates for wk
         if not lasts:
             continue
@@ -664,9 +677,9 @@ def _ancestral_maximality_witness(
         for w in iter_bits(reach & lasts):
             heads |= pa[w] | sp[w]
         for y in iter_bits(heads & partners):
-            any_y = g._ancestor_mask(y)
+            any_y = an[y]
             if firsts & any_y:
-                path = _inducing_path(g, x, y, anx | any_y)
+                path = _inducing_path(ch, sp, x, y, anx | any_y)
                 if path is not None:
                     return x, y, path
     return None
@@ -688,7 +701,7 @@ def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
     """
     if not is_ancestral(g):
         return "ancestral", _ancestral_witness(g)
-    gap = _ancestral_maximality_witness(g)
+    gap = _maximality_gap(g._pa, g._ch, g._sp, g._an)
     if gap is None:
         return None
     x, y, path = gap
@@ -701,7 +714,16 @@ def mag_violation(g: MixedGraph) -> tuple[str, str] | None:
 def is_mag(g: MixedGraph) -> bool:
     """Ancestral and maximal: ``mag_violation`` is None, without building
     its text."""
-    return is_ancestral(g) and _ancestral_maximality_witness(g) is None
+    require_graph(g)
+    return _is_mag_rows(g._pa, g._ch, g._sp, g._an)
+
+
+def _is_mag_rows(
+    pa: list[int], ch: list[int], sp: list[int], an: list[int | None]
+) -> bool:
+    # is_mag on the node rows, with ``an`` as for _ancestral: [None] * n
+    # for rows no graph holds.
+    return _ancestral(pa, ch, sp, an) and _maximality_gap(pa, ch, sp, an) is None
 
 
 def require_mags(*mags: "Mag") -> None:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -22,8 +23,11 @@ from magmoves import (
     graph_to_json,
     graph_to_json_dict,
 )
-from magmoves import _kernels
+from magmoves import _kernels, cli
 from magmoves.cli import main
+from magmoves.enumeration import graph_from_pair_code
+from magmoves.graph import format_path
+from magmoves.separation import find_connecting_path, m_connected
 
 _RENDER = {
     "text": lambda g: g.canonical_key() + "\n",
@@ -193,6 +197,50 @@ def test_separate_json(collider_file, capsys):
 def test_separate_unknown_label(collider_file, capsys):
     assert main(["separate", collider_file, "--x", "X", "--y", "Q"]) == 2
     assert "unknown node label" in capsys.readouterr().err
+
+
+def _two_call_separate(g, x, y, given):
+    # Exit code, text and JSON of `separate` as m_connected followed by
+    # find_connecting_path gave them.
+    connected = m_connected(g, x, y, given)
+    path = find_connecting_path(g, x, y, given) if connected else None
+    shown = "{" + ", ".join(sorted(g.labels[v] for v in given)) + "}"
+    if connected:
+        text = f"m-connected given {shown}; path: {format_path(g, path)}"
+    else:
+        text = f"m-separated given {shown}"
+    labels = [g.labels[v] for v in path] if path else None
+    return int(connected), text, json.dumps({"connected": connected, "path": labels})
+
+
+def test_separate_runs_one_search_exhaustively(write_graph, capsys, monkeypatch):
+    # Every mixed graph with n <= 3, every ordered pair and every Z of the
+    # other nodes: the command's output is the two-call answer, with
+    # m_connected never called.
+    cases = []
+    for n in (2, 3):
+        for code in range(4 ** (n * (n - 1) // 2)):
+            g = graph_from_pair_code(n, code, labels=("X", "Y", "W")[:n])
+            file = write_graph(g)
+            for x, y in itertools.permutations(range(n), 2):
+                rest = [v for v in range(n) if v not in (x, y)]
+                for k in range(len(rest) + 1):
+                    for given in itertools.combinations(rest, k):
+                        argv = ["separate", file, "--x", g.labels[x]]
+                        argv += ["--y", g.labels[y], "--given"]
+                        argv.append(",".join(g.labels[v] for v in given))
+                        cases.append((argv, *_two_call_separate(g, x, y, given)))
+
+    def fail(*args):
+        raise AssertionError("separate called m_connected")
+
+    monkeypatch.setattr(cli, "m_connected", fail)
+    assert len(cases) == 4 * 2 + 64 * 6 * 2
+    for argv, code, text, payload in cases:
+        assert main(argv) == code
+        assert capsys.readouterr().out == text + "\n"
+        assert main(argv + ["--format", "json"]) == code
+        assert capsys.readouterr().out == payload + "\n"
 
 
 def test_equiv(write_graph, capsys):

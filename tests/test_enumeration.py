@@ -122,12 +122,60 @@ def test_decoder_handles_large_n(n, code, key):
         (4, 3 | (2 << 2) | (3 << 6) | (1 << 8) | (3 << 10), "inducing path"),
     ],
 )
-def test_enumeration_rechecks_kernel_codes(monkeypatch, n, code, witness):
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda n: list(enumeration.enumerate_mags(n)),
+        enumeration.verify_theorems,
+        enumeration.test_conjecture1,
+    ],
+    ids=["enumerate_mags", "verify_theorems", "test_conjecture1"],
+)
+def test_enumeration_rechecks_kernel_codes(monkeypatch, stream, n, code, witness):
+    # each stream checks the kernel's codes independently and names the
+    # witness Mag() gives for the decoded graph
+    with pytest.raises(NotAMagError, match=witness) as want:
+        Mag(graph_from_pair_code(n, code))
     monkeypatch.setattr(
         _kernels, "enumerate_mag_codes", lambda n: np.array([code], np.int64)
     )
-    with pytest.raises(NotAMagError, match=witness):
-        list(enumeration.enumerate_mags(n))
+    with pytest.raises(NotAMagError) as got:
+        stream(n)
+    assert str(got.value) == str(want.value)
+
+
+def test_row_test_matches_is_mag_exhaustively():
+    # the sweeps' test on the node rows of every mixed graph with n <= 4
+    for n in (1, 2, 3, 4):
+        codes = np.arange(4 ** (n * (n - 1) // 2), dtype=np.int64)
+        rows = [r.T.tolist() for r in _kernels.node_rows(n, codes)]
+        got = [enumeration._is_mag_rows(*r, [None] * n) for r in zip(*rows)]
+        want = [is_mag(graph_from_pair_code(n, c)) for c in codes.tolist()]
+        assert got == want
+        assert codes[got].tolist() == _kernels.enumerate_mag_codes(n).tolist()
+
+
+def test_sweeps_check_rows_without_building_graphs(monkeypatch):
+    # the independent check of all 2,492 MAGs at n = 4 runs on node rows:
+    # no Mag or MixedGraph is built
+    calls = dict.fromkeys(("Mag", "graph", "rows"), 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(Mag, "__init__", counted("Mag", Mag.__init__))
+    trusted = counted("graph", MixedGraph._trusted.__func__)
+    monkeypatch.setattr(MixedGraph, "_trusted", classmethod(trusted))
+    rows = counted("rows", enumeration._is_mag_rows)
+    monkeypatch.setattr(enumeration, "_is_mag_rows", rows)
+    for sweep in (enumeration.test_conjecture1, enumeration.verify_theorems):
+        calls.update(dict.fromkeys(calls, 0))
+        sweep(4)
+        assert calls == {"Mag": 0, "graph": 0, "rows": 2492}, sweep.__name__
 
 
 def _assert_block_decoder_matches_oracle(n):
@@ -258,7 +306,7 @@ def _assert_table_matches_partition(n, mags):
     assert [m.tolist() for m in table.members] == [
         [place[k] for k in c] for c in part.classes
     ]
-    assert [m.canonical_key() for m in table.mags] == keys
+    table.check()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -170,16 +170,19 @@ def _cmd_class(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # One write per decoding block; what is held when the stream stops, on
-    # an error too, is written before the error surfaces.
+    # One write per checked block, so the lines of the MAGs before a failed
+    # check are written before the error surfaces.  The text format writes
+    # each block's keys and builds no graph; JSON and DOT render graphs.
     from . import enumeration  # numpy loads only for the sweep commands
 
+    if args.format == "text":
+        for keys, *_ in enumeration._mag_blocks(args.n):
+            sys.stdout.write("".join([key + "\n" for key in keys]))
+        return 0
     if args.format == "json":
         render = lambda g: json.dumps(graph_to_json_dict(g)) + "\n"
-    elif args.format == "dot":
-        render = graph_to_dot
     else:
-        render = lambda g: g.canonical_key() + "\n"
+        render = graph_to_dot
     gap = "\n" if args.format == "dot" else ""  # a blank line between DOT graphs
     held, lead = [], ""
     try:

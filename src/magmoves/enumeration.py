@@ -126,27 +126,37 @@ def _canonical_order(n: int) -> tuple[np.ndarray, ...]:
     return codes, perm, seq, np.array([""] + [";" + tok for tok in order])
 
 
-# Codes enumerate_mags decodes, and _SweepTable.check tests, at a time.
+# Codes the checked stream tests, and `enumerate` writes, at a time.
 # Blocks of 4,096 raised the peak memory of `enumerate --n 5` by about 2 MB
 # and ran no faster.
 _BLOCK = 2048
 
 
-def _checked_mags(
-    n: int, codes: np.ndarray, perm: np.ndarray, seq: np.ndarray, tokens: np.ndarray
-) -> Iterator[Mag]:
-    # The graphs of codes[perm] given _canonical_order(n), each checked by
-    # Mag(): numpy builds a block's node rows and keys, and the graphs are
-    # streamed one at a time.
-    labels = _check_labels(n, None)
-    for start in range(0, perm.shape[0], _BLOCK):
-        block = perm[start : start + _BLOCK]
-        rows = [r.T.tolist() for r in _kernels.node_rows(n, codes[block])]
-        keys = np.full(block.shape[0], str(n))
-        for ranks in seq[block].T:
+def _checked_rows(n: int, codes: np.ndarray) -> Iterator[tuple[int, list, list, list]]:
+    # The node rows of codes, as lists, a _BLOCK at a time with the block's
+    # start, each MAG first passing the test behind Mag() on its rows.  At
+    # the first that fails, the rows before it are yielded, then that one
+    # code is decoded and Mag() raises NotAMagError naming the witness.
+    for start in range(0, len(codes), _BLOCK):
+        block = codes[start : start + _BLOCK]
+        rows = [r.T.tolist() for r in _kernels.node_rows(n, block)]
+        for k, (pa, ch, sp) in enumerate(zip(*rows)):
+            if not _is_mag_rows(pa, ch, sp, [None] * n):
+                yield start, *(r[:k] for r in rows)
+                Mag(graph_from_pair_code(n, block[k]))
+        yield start, *rows
+
+
+def _mag_blocks(n: int) -> Iterator[tuple[list[str], list, list, list]]:
+    # The MAGs on n nodes in canonical-key order, a checked block at a time
+    # (see _checked_rows): their canonical keys and node rows, as lists.
+    codes, perm, seq, tokens = _canonical_order(n)
+    codes = codes[perm]
+    for start, pa, ch, sp in _checked_rows(n, codes):
+        keys = np.full(len(pa), str(n))
+        for ranks in seq[perm[start : start + len(pa)]].T:
             keys = np.char.add(keys, tokens[ranks])
-        for key, pa, ch, sp in zip(keys.tolist(), *rows):
-            yield Mag(MixedGraph._trusted(n, labels, pa, ch, sp, key))
+        yield keys.tolist(), pa, ch, sp
 
 
 def enumerate_mags(n: int) -> Iterator[Mag]:
@@ -154,11 +164,15 @@ def enumerate_mags(n: int) -> Iterator[Mag]:
 
     Kernel codes are decoded in blocks: numpy builds each block's node
     rows and canonical keys, and the graphs are streamed one at a time.
-    Each emitted graph is still checked by :class:`Mag`, independent of
-    the kernel that produced its code; one that fails raises
-    :class:`NotAMagError` naming the witness.
+    Each graph first passes the test that :class:`Mag` runs, on its node
+    rows and independent of the kernel that produced its code; the first
+    that fails is decoded, and ``Mag()`` raises :class:`NotAMagError`
+    naming the witness.
     """
-    yield from _checked_mags(n, *_canonical_order(n))
+    for keys, *rows in _mag_blocks(n):
+        labels = _check_labels(n, None)
+        for key, pa, ch, sp in zip(keys, *rows):
+            yield Mag._trusted(MixedGraph._trusted(n, labels, pa, ch, sp, key))
 
 
 @dataclass(frozen=True)
@@ -242,17 +256,13 @@ class _SweepTable:
         self._sorted, self.by_code = codes, np.argsort(perm)
 
     def check(self) -> None:
-        """The independent check of every MAG, in canonical order: the test
-        behind ``Mag()`` on its node rows, with no graph built.  The first
-        MAG that fails is decoded, and ``Mag()`` raises
-        :class:`NotAMagError` naming the witness, as in
-        :func:`enumerate_mags`."""
-        n = self.n
-        for start in range(0, len(self.codes), _BLOCK):
-            rows = [r[:, start : start + _BLOCK].T.tolist() for r in self.rows]
-            for k, (pa, ch, sp) in enumerate(zip(*rows), start):
-                if not _is_mag_rows(pa, ch, sp, [None] * n):
-                    Mag(graph_from_pair_code(n, self.codes[k]))
+        """The independent check of every MAG, in canonical order, by the
+        loop behind :func:`enumerate_mags`: the test behind ``Mag()`` on
+        its node rows, with no graph built.  The first MAG that fails is
+        decoded, and ``Mag()`` raises :class:`NotAMagError` naming the
+        witness."""
+        for _ in _checked_rows(self.n, self.codes):
+            pass
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """The canonical index of each pair code, -1 for one not a MAG."""
@@ -602,7 +612,7 @@ def _oracle_violations(table: _SweepTable) -> list[str]:
         i, j = np.nonzero(bucket_of[members, None] != bucket_of[members])
         found.extend((a, b, False, True) for a, b in zip(*members[[i, j]].tolist()))
     found.sort()
-    n, codes = table.n, table.codes.tolist()
+    n, codes = table.n, table.codes
     return [
         f"{_key(n, codes[i])} vs {_key(n, codes[j])}: "
         f"graphical={graphical} brute={brute}"

@@ -23,7 +23,7 @@ from magmoves import (
     graph_to_json,
     graph_to_json_dict,
 )
-from magmoves import _kernels, cli
+from magmoves import _kernels, cli, enumeration
 from magmoves.cli import main
 from magmoves.enumeration import graph_from_pair_code
 from magmoves.graph import format_path
@@ -422,6 +422,30 @@ def test_enumerate_prints_lines_before_a_failed_recheck(fmt, monkeypatch, capsys
     out, err = capsys.readouterr()
     assert out == _RENDER[fmt](MixedGraph(3, []))
     assert "directed cycle" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize("before", [2, 3])
+def test_enumerate_writes_the_blocks_before_a_failure_past_a_block(
+    fmt, before, monkeypatch, capsys
+):
+    # with blocks of two, the directed cycle 0->1->2->0 sorts third or
+    # fourth, after the empty graph, 0<>1 and 0>1
+    cycle = 1 | (2 << 2) | (1 << 4)
+    codes = [0, 3, 1][:before] + [cycle]
+    mags = [graph_from_pair_code(3, c) for c in (0, 3, 1)][:before]
+    monkeypatch.setattr(enumeration, "_BLOCK", 2)
+    monkeypatch.setattr(
+        _kernels, "enumerate_mag_codes", lambda n: np.array(codes, np.int64)
+    )
+    with pytest.raises(magmoves.NotAMagError) as want:
+        magmoves.Mag(graph_from_pair_code(3, cycle))
+    assert main(["enumerate", "--n", "3", "--format", fmt]) == 2
+    gap = "\n" if fmt == "dot" else ""
+    assert capsys.readouterr() == (
+        gap.join(_RENDER[fmt](g) for g in mags),
+        f"error: {want.value}\n",
+    )
 
 
 def test_enumerate_into_a_closed_pipe_exits_one_without_traceback():

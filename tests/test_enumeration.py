@@ -22,6 +22,7 @@ from magmoves import (
     unshielded_colliders,
 )
 from magmoves import _kernels, enumeration, transform
+from magmoves.cli import main
 from magmoves.enumeration import _local_key_ids, _triple_masks
 from magmoves.equivalence import _discriminating_witness, _head_rows, _local_key
 
@@ -144,6 +145,30 @@ def test_enumeration_rechecks_kernel_codes(monkeypatch, stream, n, code, witness
     assert str(got.value) == str(want.value)
 
 
+# 0 -> 1 -> 2 -> 0 sorts after the MAGs 3, 3;0<>1 and 3;0>1, so with
+# blocks of two it fails at the start of the second block or inside it
+_CYCLE = 1 | (2 << 2) | (1 << 4)
+_PAST_A_BLOCK = [[0, 3, _CYCLE], [0, 1, 3, _CYCLE]]
+
+
+@pytest.mark.parametrize("codes", _PAST_A_BLOCK, ids=["3rd", "4th"])
+def test_enumerate_mags_stops_at_a_failed_recheck_past_a_block(monkeypatch, codes):
+    # the MAGs before the failure are streamed, then Mag()'s error
+    with pytest.raises(NotAMagError, match="directed cycle") as want:
+        Mag(graph_from_pair_code(3, _CYCLE))
+    before = sorted(graph_from_pair_code(3, c).canonical_key() for c in codes[:-1])
+    monkeypatch.setattr(enumeration, "_BLOCK", 2)
+    monkeypatch.setattr(
+        _kernels, "enumerate_mag_codes", lambda n: np.array(codes, np.int64)
+    )
+    got = []
+    with pytest.raises(NotAMagError) as raised:
+        for m in enumeration.enumerate_mags(3):
+            got.append(m.canonical_key())
+    assert got == before
+    assert str(raised.value) == str(want.value)
+
+
 def test_row_test_matches_is_mag_exhaustively():
     # the sweeps' test on the node rows of every mixed graph with n <= 4
     for n in (1, 2, 3, 4):
@@ -155,9 +180,9 @@ def test_row_test_matches_is_mag_exhaustively():
         assert codes[got].tolist() == _kernels.enumerate_mag_codes(n).tolist()
 
 
-def test_sweeps_check_rows_without_building_graphs(monkeypatch):
-    # the independent check of all 2,492 MAGs at n = 4 runs on node rows:
-    # no Mag or MixedGraph is built
+@pytest.fixture
+def check_calls(monkeypatch):
+    # Mag.__init__, MixedGraph._trusted and row-test calls, counted
     calls = dict.fromkeys(("Mag", "graph", "rows"), 0)
 
     def counted(name, fn):
@@ -172,10 +197,30 @@ def test_sweeps_check_rows_without_building_graphs(monkeypatch):
     monkeypatch.setattr(MixedGraph, "_trusted", classmethod(trusted))
     rows = counted("rows", enumeration._is_mag_rows)
     monkeypatch.setattr(enumeration, "_is_mag_rows", rows)
+    return calls
+
+
+def test_sweeps_check_rows_without_building_graphs(check_calls):
+    # the independent check of all 2,492 MAGs at n = 4 runs on node rows:
+    # no Mag or MixedGraph is built
     for sweep in (enumeration.test_conjecture1, enumeration.verify_theorems):
-        calls.update(dict.fromkeys(calls, 0))
+        check_calls.update(dict.fromkeys(check_calls, 0))
         sweep(4)
-        assert calls == {"Mag": 0, "graph": 0, "rows": 2492}, sweep.__name__
+        assert check_calls == {"Mag": 0, "graph": 0, "rows": 2492}, sweep.__name__
+
+
+def test_enumerate_checks_rows_and_writes_keys_without_building_graphs(
+    check_calls, capsys
+):
+    # every one of the 2,492 MAGs at n = 4 passes the row test; the text
+    # format writes the keys and builds no graph, and enumerate_mags wraps
+    # each checked graph with no second check
+    assert main(["enumerate", "--n", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2492
+    assert check_calls == {"Mag": 0, "graph": 0, "rows": 2492}
+    check_calls.update(dict.fromkeys(check_calls, 0))
+    assert len(list(enumeration.enumerate_mags(4))) == 2492
+    assert check_calls == {"Mag": 0, "graph": 2492, "rows": 2492}
 
 
 def _assert_block_decoder_matches_oracle(n):

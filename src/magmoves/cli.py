@@ -171,29 +171,21 @@ def _cmd_class(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     # One write per checked block, so the lines of the MAGs before a failed
-    # check are written before the error surfaces.  The text format writes
-    # each block's keys and builds no graph; JSON and DOT render graphs.
+    # check are written before the error surfaces.  Text writes each block's
+    # keys and builds no graph; JSON and DOT render the block's graphs.
     from . import enumeration  # numpy loads only for the sweep commands
 
-    if args.format == "text":
-        for keys, *_ in enumeration._mag_blocks(args.n):
+    gap = ""  # a blank line between DOT graphs, within and across blocks
+    for keys, graphs in enumeration._mag_blocks(args.n):
+        if args.format == "text":
             sys.stdout.write("".join([key + "\n" for key in keys]))
-        return 0
-    if args.format == "json":
-        render = lambda g: json.dumps(graph_to_json_dict(g)) + "\n"
-    else:
-        render = graph_to_dot
-    gap = "\n" if args.format == "dot" else ""  # a blank line between DOT graphs
-    held, lead = [], ""
-    try:
-        for m in enumeration.enumerate_mags(args.n):
-            held.append(lead + render(m.graph))
-            lead = gap
-            if len(held) == enumeration._BLOCK:
-                out, held = "".join(held), []
-                sys.stdout.write(out)
-    finally:
-        sys.stdout.write("".join(held))
+        elif args.format == "json":
+            sys.stdout.write(
+                "".join([json.dumps(graph_to_json_dict(g)) + "\n" for g in graphs])
+            )
+        else:
+            sys.stdout.write(gap + "\n".join([graph_to_dot(g) for g in graphs]))
+            gap = "\n"
     return 0
 
 

@@ -78,7 +78,7 @@ def graph_from_pair_code(
     if code < 0 or code >> n * (n - 1):
         raise InputError(f"pair code {_shown(code)} is out of range for {n} nodes")
     pa, ch, sp = [0] * n, [0] * n, [0] * n
-    toks, rest, u = [], code, 0
+    rest, u = code, 0
     while rest:
         width = 2 * (n - u - 1)
         row, rest, v = rest & ((1 << width) - 1), rest >> width, u + 1
@@ -86,13 +86,10 @@ def graph_from_pair_code(
             if s := row & 3:
                 a, b = (v, u) if s == _REV else (u, v)
                 _put_edge(pa, ch, sp, a, b, s == _BI)
-                toks.append(_token(str(a), str(b), s == _BI))
             row >>= 2
             v += 1
         u += 1
-    toks.sort()
-    key = ";".join([str(n), *toks])
-    return MixedGraph._trusted(n, _check_labels(n, labels), pa, ch, sp, key)
+    return MixedGraph._trusted(n, _check_labels(n, labels), pa, ch, sp, None)
 
 
 def _canonical_order(n: int) -> tuple[np.ndarray, ...]:
@@ -135,44 +132,46 @@ _BLOCK = 2048
 def _checked_rows(n: int, codes: np.ndarray) -> Iterator[tuple[int, list, list, list]]:
     # The node rows of codes, as lists, a _BLOCK at a time with the block's
     # start, each MAG first passing the test behind Mag() on its rows.  At
-    # the first that fails, the rows before it are yielded, then that one
-    # code is decoded and Mag() raises NotAMagError naming the witness.
+    # the first that fails, the rows before it are yielded unless none, then
+    # that code is decoded and Mag() raises NotAMagError naming the witness.
     for start in range(0, len(codes), _BLOCK):
         block = codes[start : start + _BLOCK]
         rows = [r.T.tolist() for r in _kernels.node_rows(n, block)]
         for k, (pa, ch, sp) in enumerate(zip(*rows)):
             if not _is_mag_rows(pa, ch, sp, [None] * n):
-                yield start, *(r[:k] for r in rows)
+                if k:
+                    yield start, *(r[:k] for r in rows)
                 Mag(graph_from_pair_code(n, block[k]))
         yield start, *rows
 
 
-def _mag_blocks(n: int) -> Iterator[tuple[list[str], list, list, list]]:
+def _mag_blocks(n: int) -> Iterator[tuple[list[str], Iterator[MixedGraph]]]:
     # The MAGs on n nodes in canonical-key order, a checked block at a time
-    # (see _checked_rows): their canonical keys and node rows, as lists.
+    # (see _checked_rows): their canonical keys, and a generator that builds
+    # their graphs from the block's node rows as it is read.
     codes, perm, seq, tokens = _canonical_order(n)
     codes = codes[perm]
+    labels = _check_labels(n, None)
     for start, pa, ch, sp in _checked_rows(n, codes):
         keys = np.full(len(pa), str(n))
         for ranks in seq[perm[start : start + len(pa)]].T:
             keys = np.char.add(keys, tokens[ranks])
-        yield keys.tolist(), pa, ch, sp
+        keys = keys.tolist()
+        yield keys, (MixedGraph._trusted(n, labels, *g) for g in zip(pa, ch, sp, keys))
 
 
 def enumerate_mags(n: int) -> Iterator[Mag]:
     """All MAGs on ``n`` unlabeled nodes, streamed in canonical-key order.
 
-    Kernel codes are decoded in blocks: numpy builds each block's node
-    rows and canonical keys, and the graphs are streamed one at a time.
-    Each graph first passes the test that :class:`Mag` runs, on its node
-    rows and independent of the kernel that produced its code; the first
-    that fails is decoded, and ``Mag()`` raises :class:`NotAMagError`
-    naming the witness.
+    Kernel codes are decoded in the checked blocks ``enumerate`` writes:
+    numpy builds each block's node rows and keys, and the graphs are built
+    as they are read.  Each first passes the test that :class:`Mag` runs,
+    on its node rows and independent of the kernel that produced its code;
+    the first that fails is decoded, and ``Mag()`` raises
+    :class:`NotAMagError` naming the witness.
     """
-    for keys, *rows in _mag_blocks(n):
-        labels = _check_labels(n, None)
-        for key, pa, ch, sp in zip(keys, *rows):
-            yield Mag._trusted(MixedGraph._trusted(n, labels, pa, ch, sp, key))
+    for _, graphs in _mag_blocks(n):
+        yield from map(Mag._trusted, graphs)
 
 
 @dataclass(frozen=True)
@@ -238,13 +237,18 @@ class _SweepTable:
     count)) and class.  Classes are numbered by their smallest canonical
     index, as in :class:`ClassPartition`; ``members`` lists each class's
     indices, and ``by_code`` all indices in pair-code order.  ``lookup``
-    finds pair codes among the kernel's sorted codes, and ``check`` runs
-    the test behind ``Mag()`` on every MAG.
+    finds pair codes among the kernel's sorted codes.  Building the table
+    runs the test behind ``Mag()`` on every MAG's node rows, by the loop
+    behind :func:`enumerate_mags`, so no sweep holds an unchecked table;
+    the first MAG that fails is decoded, and ``Mag()`` raises
+    :class:`NotAMagError` naming the witness.
     """
 
     def __init__(self, n: int) -> None:
         codes, perm, _, _ = _canonical_order(n)
         self.n, self.codes = n, codes[perm]
+        for _ in _checked_rows(n, self.codes):
+            pass
         self.rows = _kernels.node_rows(n, self.codes)
         _, first, inverse = np.unique(
             _signature_ids(*self.rows), return_index=True, return_inverse=True
@@ -254,15 +258,6 @@ class _SweepTable:
         by_class = np.argsort(ids, kind="stable")
         self.members = np.split(by_class, np.cumsum(np.bincount(ids))[:-1])
         self._sorted, self.by_code = codes, np.argsort(perm)
-
-    def check(self) -> None:
-        """The independent check of every MAG, in canonical order, by the
-        loop behind :func:`enumerate_mags`: the test behind ``Mag()`` on
-        its node rows, with no graph built.  The first MAG that fails is
-        decoded, and ``Mag()`` raises :class:`NotAMagError` naming the
-        witness."""
-        for _ in _checked_rows(self.n, self.codes):
-            pass
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """The canonical index of each pair code, -1 for one not a MAG."""
@@ -452,7 +447,6 @@ def test_conjecture1(n: int) -> ConjectureReport:
     are reported, never asserted away.
     """
     table = _SweepTable(n)
-    table.check()
     # Per MAG: both bits of each pair position where the edge is blanketed,
     # that is directed and blanketed or bi-directed and blanketed against an
     # endpoint; and the moves that reach a MAG of the class, as index pairs.
@@ -659,7 +653,6 @@ def _move_checks(table: _SweepTable) -> dict[str, CheckOutcome]:
     # violation is kept as (MAG, text) in move and pair order, so a stable
     # sort by MAG gives the order of a loop over the MAGs.
     n, codes, by_code = table.n, table.codes, table.by_code
-    table.check()
     pa, _, sp = table.rows
     bits = _kernels.move_block(*table.rows)
     licensed, screened = bits[0] | bits[1], bits[2]

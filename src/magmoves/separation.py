@@ -129,16 +129,18 @@ def find_connecting_path(
 ) -> tuple[int, ...] | None:
     """First m-connecting simple path in DFS order, or None.
 
-    The order is ``simple_paths_between``'s.  One sweep from y first marks
-    the states (c, mark at c) from which an m-connecting walk continues to
-    y, and the search extends a prefix by c only when the prefix's last
-    node passes its collider test with c as successor and c's state is
-    marked (or c is y).  The rest of any m-connecting path through the
-    prefix and c is such a walk, so no skipped subtree holds one and the
-    first path found is unchanged.  When x and y are m-separated x has no
-    marked neighbour, so this is one sweep; when a path exists the search
-    may still backtrack exponentially, through nodes whose walks to y all
-    run back through the prefix.
+    The order is depth first from x: a prefix's step straight to y comes
+    first, then its extensions by each other neighbour of its last node off
+    the path, in ascending node id, each searched in full before the next.
+    One sweep from y first marks the states (c, mark at c) from which an
+    m-connecting walk continues to y, and the search extends a prefix by c
+    only when the prefix's last node passes its collider test with c as
+    successor and c's state is marked (or c is y).  The rest of any
+    m-connecting path through the prefix and c is such a walk, so no skipped
+    subtree holds one and the first path found is the first of that order.
+    When x and y are m-separated x has no marked neighbour, so this is one
+    sweep; when a path exists the search may still backtrack exponentially,
+    through nodes whose walks to y all run back through the prefix.
     """
     zmask, anz = _query_masks(g, x, y, given)
     pa, ch, sp = g._pa, g._ch, g._sp

@@ -4,14 +4,14 @@ Three moves: turn a directed edge bi-directed, turn a bi-directed edge
 directed, and reverse a directed edge.  The first two are licensed by a
 blanket predicate on the edge, the third by an exact parent/spouse match
 between the endpoints.  One search, ``_failure``, decides every predicate
-and returns the first failing clause as a small tuple; ``legal_moves`` and
-the ``is_*`` predicates only test it against None, and only ``_violation``,
-behind the ``*_violation`` functions and ``apply_move``'s rejection message,
-turns it into text.  Applying a licensed move always yields a MAG
-again; ``apply_move`` re-validates the result anyway.  The closure walk
-knows graphs by their base-4 pair code: it validates each graph it has not
-reached before exactly once, and skips a move that leads back to a code it
-already holds without building a graph, a key or a ``Mag``.
+and returns the first failing clause as a small tuple; ``legal_moves`` only
+tests it against None, and ``_violation`` turns it into text for
+``apply_move``'s rejection message and the ``*_violation`` functions, which
+the ``is_*`` predicates test against None.  Applying a licensed move always
+yields a MAG again; ``apply_move`` re-validates the result anyway.  The
+closure walk knows graphs by their base-4 pair code: it validates each graph
+it has not reached before exactly once, and skips a move that leads back to
+a code it already holds without building a graph, a key or a ``Mag``.
 """
 
 from __future__ import annotations
@@ -160,13 +160,11 @@ def blanketed_bidirected_violation(m: Mag, x: int, y: int) -> str | None:
 
 
 def is_blanketed_directed(m: Mag, x: int, y: int) -> bool:
-    _require_edge(m, MoveKind.DIR_TO_BI, x, y)
-    return _failure(m.graph, MoveKind.DIR_TO_BI, x, y) is None
+    return blanketed_directed_violation(m, x, y) is None
 
 
 def is_blanketed_bidirected_against(m: Mag, x: int, y: int) -> bool:
-    _require_edge(m, MoveKind.BI_TO_DIR, x, y)
-    return _failure(m.graph, MoveKind.BI_TO_DIR, x, y) is None
+    return blanketed_bidirected_violation(m, x, y) is None
 
 
 def screened_violation(m: Mag, x: int, y: int) -> str | None:
@@ -176,8 +174,7 @@ def screened_violation(m: Mag, x: int, y: int) -> str | None:
 
 
 def is_screened(m: Mag, x: int, y: int) -> bool:
-    _require_edge(m, MoveKind.REVERSE, x, y)
-    return _failure(m.graph, MoveKind.REVERSE, x, y) is None
+    return screened_violation(m, x, y) is None
 
 
 def _replacement(move: MoveDescriptor) -> Edge:

@@ -129,8 +129,9 @@ def test_decoder_handles_large_n(n, code, key):
         lambda n: list(enumeration.enumerate_mags(n)),
         enumeration.verify_theorems,
         enumeration.test_conjecture1,
+        enumeration._SweepTable,
     ],
-    ids=["enumerate_mags", "verify_theorems", "test_conjecture1"],
+    ids=["enumerate_mags", "verify_theorems", "test_conjecture1", "_SweepTable"],
 )
 def test_enumeration_rechecks_kernel_codes(monkeypatch, stream, n, code, witness):
     # each stream checks the kernel's codes independently and names the
@@ -213,11 +214,15 @@ def test_enumerate_checks_rows_and_writes_keys_without_building_graphs(
     check_calls, capsys
 ):
     # every one of the 2,492 MAGs at n = 4 passes the row test; the text
-    # format writes the keys and builds no graph, and enumerate_mags wraps
-    # each checked graph with no second check
-    assert main(["enumerate", "--n", "4"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2492
-    assert check_calls == {"Mag": 0, "graph": 0, "rows": 2492}
+    # format writes the keys and builds no graph, JSON and DOT build each
+    # checked graph once, and enumerate_mags wraps each checked graph with
+    # no second check
+    formats = (("text", 0, "\n"), ("json", 2492, "\n"), ("dot", 2492, "}\n"))
+    for fmt, graphs, end in formats:
+        check_calls.update(dict.fromkeys(check_calls, 0))
+        assert main(["enumerate", "--n", "4", "--format", fmt]) == 0
+        assert capsys.readouterr().out.count(end) == 2492, fmt
+        assert check_calls == {"Mag": 0, "graph": graphs, "rows": 2492}, fmt
     check_calls.update(dict.fromkeys(check_calls, 0))
     assert len(list(enumeration.enumerate_mags(4))) == 2492
     assert check_calls == {"Mag": 0, "graph": 2492, "rows": 2492}
@@ -337,7 +342,8 @@ def test_code_lookup_membership_equals_is_mag(n, mags_by_n):
 
 def _assert_table_matches_partition(n, mags):
     # codes, canonical order, class ids and class numbering of the sweep
-    # table, and its stream, against the public partition
+    # table, whose constructor runs the row check, against the public
+    # partition
     table = enumeration._SweepTable(n)
     part = partition_into_classes(mags)
     keys = list(part.graphs_by_key)
@@ -351,7 +357,6 @@ def _assert_table_matches_partition(n, mags):
     assert [m.tolist() for m in table.members] == [
         [place[k] for k in c] for c in part.classes
     ]
-    table.check()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

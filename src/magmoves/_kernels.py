@@ -139,12 +139,7 @@ def signature_block(pa: np.ndarray, ch: np.ndarray, sp: np.ndarray) -> np.ndarra
             anz = zero
             for z in given:
                 anz = anz | an[z]
-            # The sweep of separation._m_connected_masks over the states
-            # (w, arrived with an arrowhead).  A collider (an arrowhead at
-            # w, an ancestor of Z) and a tail at w outside Z leave w along
-            # an edge with an arrowhead at w: to a spouse, arriving with an
-            # arrowhead, or to a parent, arriving with a tail.  A node
-            # outside Z is left along an edge with a tail at w: to a child.
+            # The sweep of separation._walk_states on every graph at once.
             head, tail = ch[x] | sp[x], pa[x]
             seen_head, seen_tail = head, tail
             while head.any() or tail.any():

@@ -29,8 +29,9 @@ from .graph import (
     _pair_edge,
     _pair_shift,
     _put_edge,
+    _reach,
+    _spread,
     _token,
-    iter_bits,
     require_mags,
 )
 from .transform import (
@@ -323,18 +324,10 @@ def _lemma1_holds(g: MixedGraph, x: int, y: int) -> bool:
     # The chain nodes are then the nodes reached from sp(x) ∩ S along
     # spouse edges inside S, and a_1 may also be a parent in S of one of
     # them; the lemma fails iff one of these nodes is not a parent of y.
-    inside = ~(g._sp[y] | (1 << x) | (1 << y))
-    chain = frontier = g._sp[x] & inside
-    while frontier:
-        step = 0
-        for a in iter_bits(frontier):
-            step |= g._sp[a]
-        frontier = step & inside & ~chain
-        chain |= frontier
-    entered = chain
-    for a in iter_bits(chain):
-        entered |= g._pa[a] & inside
-    return not entered & ~g._pa[y]
+    pa, sp = g._pa, g._sp
+    inside = ~(sp[y] | (1 << x) | (1 << y))
+    chain = _reach(sp, sp[x], inside)
+    return not (chain | _spread(pa, chain) & inside) & ~pa[y]
 
 
 def _lemma1_rows(pa: np.ndarray, sp: np.ndarray, x: int, y: int) -> np.ndarray:

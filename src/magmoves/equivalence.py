@@ -24,6 +24,7 @@ from .errors import InputError
 from .graph import (
     Mag,
     MixedGraph,
+    _spread,
     format_path,
     iter_bits,
     require_graph,
@@ -129,10 +130,7 @@ def _entry_chain(
                     path.append(next(iter_bits(level & bi[path[-1]])))
                 return path
         seen |= cur
-        nxt = 0
-        for s in iter_bits(cur):
-            nxt |= bi[s]
-        cur = nxt & allowed & ~seen
+        cur = _spread(bi, cur) & allowed & ~seen
     return None
 
 

@@ -136,6 +136,53 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _spread(rows: list[int], mask: int) -> int:
+    # Union of rows[w] over the nodes w set in ``mask``: the one-graph twin
+    # of magmoves._kernels._spread.
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(rows: list[int], seed: int, allowed: int) -> int:
+    # The nodes of ``seed & allowed`` and those reached from them along
+    # ``rows`` without leaving ``allowed``: the one-graph twin of
+    # magmoves._kernels.chain_reach.
+    reach = frontier = seed & allowed
+    while frontier:
+        frontier = _spread(rows, frontier) & allowed & ~reach
+        reach |= frontier
+    return reach
+
+
+def _first_path(
+    rows: list[int], start: int, seeds: int, allowed: int, accept: int
+) -> tuple[int, ...] | None:
+    # Breadth-first search along ``rows`` through ``allowed`` nodes, which
+    # must leave out ``start``.  It queues the nodes of ``seeds & allowed``
+    # in ascending order as steps from ``start``, queues each popped node's
+    # unseen successors in ascending order, and returns (start, ..., w) for
+    # the first node w it pops in ``accept``, each node entered from the
+    # node that first reached it; None when it pops none.
+    parent = dict.fromkeys(iter_bits(seeds & allowed), start)
+    queue = deque(parent)
+    while queue:
+        w = queue.popleft()
+        if (accept >> w) & 1:
+            path = [w]
+            while path[-1] != start:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for v in iter_bits(rows[w] & allowed):
+            if v not in parent:
+                parent[v] = w
+                queue.append(v)
+    return None
+
+
 def _check_labels(n: int, labels: Iterable[str] | None) -> tuple[str, ...]:
     """The node labels as a tuple, ``V0..V{n-1}`` by default; raises unless
     there are ``n`` distinct strings."""
@@ -499,21 +546,9 @@ def ancestors(g: MixedGraph, x: int) -> frozenset[int]:
 
 
 def _directed_path(g: MixedGraph, src: int, dst: int) -> tuple[int, ...]:
-    # BFS over child edges from src to dst; caller guarantees existence.
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        w = queue.pop(0)
-        if w == dst:
-            break
-        for v in iter_bits(g._ch[w]):
-            if v not in prev:
-                prev[v] = w
-                queue.append(v)
-    out = [dst]
-    while prev[out[-1]] is not None:
-        out.append(prev[out[-1]])
-    return tuple(reversed(out))
+    # BFS over child edges from src to a distinct dst; caller guarantees
+    # existence.
+    return _first_path(g._ch, src, g._ch[src], ~(1 << src), 1 << dst)
 
 
 def _ancestral_witness(g: MixedGraph) -> str:
@@ -586,26 +621,12 @@ def _inducing_path(
 ) -> tuple[int, ...] | None:
     # inducing_path_witness for distinct, valid, non-adjacent x and y of the
     # child and spouse rows, with ``anxy`` the union of their ancestor
-    # masks.  Breadth-first search over the bi-directed core, taking nodes
-    # in ascending order: it starts at the nodes with an arrowhead on their
-    # edge from x and accepts the first node it pops with an arrowhead on
-    # its edge from y.
+    # masks.  Breadth-first search over the bi-directed core: it starts at
+    # the nodes with an arrowhead on their edge from x and accepts the
+    # first node it pops with an arrowhead on its edge from y.
     allowed = anxy & ~((1 << x) | (1 << y))
-    accept = (ch[y] | sp[y]) & allowed
-    parent = dict.fromkeys(iter_bits((ch[x] | sp[x]) & allowed), x)
-    queue = deque(parent)
-    while queue:
-        w = queue.popleft()
-        if (accept >> w) & 1:
-            path = [y, w]
-            while path[-1] != x:
-                path.append(parent[path[-1]])
-            return tuple(reversed(path))
-        for v in iter_bits(sp[w] & allowed):
-            if v not in parent:
-                parent[v] = w
-                queue.append(v)
-    return None
+    path = _first_path(sp, x, ch[x] | sp[x], allowed, ch[y] | sp[y])
+    return None if path is None else path + (y,)
 
 
 def maximality_witness(
@@ -664,18 +685,8 @@ def _maximality_gap(
         lasts = anx & paired & ~(1 << x)  # candidates for wk
         if not lasts:
             continue
-        reach = frontier = firsts  # their districts
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= sp[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~reach
-            reach |= frontier
-        heads = 0
-        for w in iter_bits(reach & lasts):
-            heads |= pa[w] | sp[w]
+        ends = _reach(sp, firsts, full) & lasts  # wk in the districts of firsts
+        heads = _spread(pa, ends) | _spread(sp, ends)
         for y in iter_bits(heads & partners):
             any_y = an[y]
             if firsts & any_y:

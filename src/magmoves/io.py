@@ -43,10 +43,10 @@ def graph_from_json_dict(data: object) -> MixedGraph:
     nodes = data.get("nodes")
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
         raise ParseError("'nodes' must be a list of strings")
-    if len(set(nodes)) != len(nodes):
-        dup = next(x for i, x in enumerate(nodes) if x in nodes[:i])
-        raise ParseError(f"duplicate node label {dup!r}")
-    index = {label: i for i, label in enumerate(nodes)}
+    index = {}
+    for i, label in enumerate(nodes):
+        if index.setdefault(label, i) != i:
+            raise ParseError(f"duplicate node label {label!r}")
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list")

@@ -12,12 +12,11 @@ pair's ancestors (see ``find_separator``).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from .errors import InputError, _shown
-from .graph import MixedGraph, iter_bits, require_graph
+from .graph import MixedGraph, _reach, _spread, iter_bits, require_graph
 
 __all__ = [
     "SeparationQuery",
@@ -87,27 +86,20 @@ def _walk_states(
 ) -> tuple[int, int]:
     # The states m-connecting walks from x reach, as two node masks: nodes
     # the walk's last edge enters with an arrowhead, and with a tail.  The
-    # search ends early once it reaches a node of ``stop``.
-    head = g._ch[x] | g._sp[x]
-    tail = g._pa[x]
+    # search ends early once it reaches a node of ``stop``.  A walk leaves
+    # the nodes of ``by_head`` along an edge with an arrowhead at them: to a
+    # spouse, arriving with an arrowhead, or to a parent, arriving with a
+    # tail.  They are the colliders (entered with an arrowhead, ancestors of
+    # Z) and the nodes entered with a tail outside Z.  It leaves the nodes
+    # of ``by_tail``, all those outside Z, along a tail: to a child.
+    pa, ch, sp = g._pa, g._ch, g._sp
+    head, tail = ch[x] | sp[x], pa[x]
     seen_head, seen_tail = head, tail
     while (head | tail) and not (seen_head | seen_tail) & stop:
-        new_head = new_tail = 0
-        for w in iter_bits(head):
-            allowed = 0
-            if (anz >> w) & 1:
-                allowed |= g._pa[w] | g._sp[w]  # collider at w
-            if not (zmask >> w) & 1:
-                allowed |= g._ch[w]  # non-collider at w
-            new_head |= allowed & (g._ch[w] | g._sp[w])
-            new_tail |= allowed & g._pa[w]
-        for w in iter_bits(tail):
-            if not (zmask >> w) & 1:
-                allowed = g._adj[w]
-                new_head |= allowed & (g._ch[w] | g._sp[w])
-                new_tail |= allowed & g._pa[w]
-        head = new_head & ~seen_head
-        tail = new_tail & ~seen_tail
+        by_head = (head & anz) | (tail & ~zmask)
+        by_tail = (head | tail) & ~zmask
+        head = (_spread(sp, by_head) | _spread(ch, by_tail)) & ~seen_head
+        tail = _spread(pa, by_head) & ~seen_tail
         seen_head |= head
         seen_tail |= tail
     return seen_head, seen_tail
@@ -187,10 +179,11 @@ def m_separated_sets(g: MixedGraph, query: SeparationQuery) -> bool:
     for v in query.sources | query.targets:
         g.check_node(v)
     zmask, anz = _given_masks(g, query.conditioning)
+    targets = sum(1 << t for t in query.targets)
     for s in query.sources:
-        for t in query.targets:
-            if _m_connected_masks(g, s, t, zmask, anz):
-                return False
+        head, tail = _walk_states(g, s, zmask, anz, targets)
+        if (head | tail) & targets:
+            return False
     return True
 
 
@@ -204,17 +197,9 @@ def _augmented_rows(g: MixedGraph, amask: int) -> list[int]:
         rows[v] = g._adj[v] & amask
     todo = amask
     while todo:
-        comp = frontier = todo & -todo
-        while frontier:
-            reach = 0
-            for w in iter_bits(frontier):
-                reach |= g._sp[w]
-            frontier = reach & amask & ~comp
-            comp |= frontier
+        comp = _reach(g._sp, todo & -todo, amask)
         todo &= ~comp
-        clique = comp
-        for w in iter_bits(comp):
-            clique |= g._pa[w] & amask
+        clique = comp | _spread(g._pa, comp) & amask
         for w in iter_bits(clique):
             rows[w] |= clique & ~(1 << w)
     return rows

@@ -126,6 +126,50 @@ def inducing_path_bfs(g: MixedGraph, x: int, y: int) -> tuple[int, ...] | None:
     return None
 
 
+def inducing_path_queue(ch, sp, x: int, y: int, anxy: int):
+    """The inducing path ``graph._inducing_path`` finds, by its queue search
+    written out in full: child and spouse rows ``ch`` and ``sp``, distinct
+    x and y, and interior nodes in ``anxy``."""
+    allowed = anxy & ~((1 << x) | (1 << y))
+    accept = (ch[y] | sp[y]) & allowed
+    parent = dict.fromkeys(iter_bits((ch[x] | sp[x]) & allowed), x)
+    queue = deque(parent)
+    while queue:
+        w = queue.popleft()
+        if (accept >> w) & 1:
+            path = [y, w]
+            while path[-1] != x:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for v in iter_bits(sp[w] & allowed):
+            if v not in parent:
+                parent[v] = w
+                queue.append(v)
+    return None
+
+
+def directed_path_queue(ch, src: int, dst: int):
+    """The directed path ``graph._directed_path`` finds from ``src`` to a
+    distinct ``dst``, by its queue search written out in full over child
+    rows ``ch``; None when there is none."""
+    prev = {src: None}
+    queue = [src]
+    while queue:
+        w = queue.pop(0)
+        if w == dst:
+            break
+        for v in iter_bits(ch[w]):
+            if v not in prev:
+                prev[v] = w
+                queue.append(v)
+    if dst not in prev:
+        return None
+    out = [dst]
+    while prev[out[-1]] is not None:
+        out.append(prev[out[-1]])
+    return tuple(reversed(out))
+
+
 def maximality_witness_all_pairs(g: MixedGraph):
     """Search every non-adjacent pair ``x < y`` in ascending order for an
     inducing path; the first pair found, with its path, or None."""

@@ -338,6 +338,14 @@ def test_apply_success(edge_file, capsys):
     assert payload["edges"] == [{"u": "X", "v": "Y", "type": "bidirected"}]
 
 
+def test_apply_text_lists_the_nodes_then_one_line_per_edge(write_graph, capsys):
+    path = write_graph(
+        MixedGraph(3, [directed(0, 1), directed(2, 1)], labels=("X", "Y", "Z"))
+    )
+    assert main(["apply", path, "--kind", "dir-to-bi", "--x", "X", "--y", "Y"]) == 0
+    assert capsys.readouterr().out == "nodes: X, Y, Z\nX <-> Y\nZ -> Y\n"
+
+
 def test_apply_rejected(write_graph, capsys):
     path = write_graph(
         MixedGraph(3, [directed(0, 1), directed(1, 2)], labels=("Z", "X", "Y"))
@@ -579,6 +587,15 @@ def test_sweep_report_bytes_are_pinned(command, n, capsys):
     assert main([command, "--n", str(n)]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == _REPORT_SHA256[command][n - 1]
+
+
+def test_validate_names_the_first_repeated_label(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"nodes": ["a", "b", "c", "b", "a"]}')
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate node label 'b'\n"
 
 
 def test_dot_subcommand(edge_file, capsys):

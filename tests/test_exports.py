@@ -201,3 +201,53 @@ _HUGE_CALLS = {
 def test_huge_integers_raise_input_error(name):
     with pytest.raises(InputError, match="integer of 2000[01] bits|too large"):
         _HUGE_CALLS[name]()
+
+
+# Error paths of the public API that no other test reaches, with the exact
+# exception class and message.
+_ERROR_PATHS = {
+    "delta across adjacencies": (
+        lambda: delta(_M, Mag(MixedGraph(3, [directed(0, 1)]))),
+        "graphs must share the same adjacencies",
+    ),
+    "separator of a node from itself": (
+        lambda: find_separator(_G, 0, 0),
+        "separator endpoints must differ",
+    ),
+    "partition of a repeated MAG": (
+        lambda: partition_into_classes([_M, _M]),
+        "duplicate graph 3;0>1;1<>2",
+    ),
+    "path across a non-adjacent pair": (
+        lambda: format_path(_G, (0, 2)),
+        "nodes 0 and 2 are not adjacent",
+    ),
+    "one-node discriminating path": (
+        lambda: is_discriminating_path(_G, (1,), 1),
+        "a path needs at least two nodes",
+    ),
+    "paths from a node to itself": (
+        lambda: next(simple_paths_between(_G, 1, 1)),
+        "path endpoints must differ",
+    ),
+    "key of a non-graph": (
+        lambda: canonical_key("3;0>1"),
+        "expected a MixedGraph or a Mag, got '3;0>1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_PATHS))
+def test_error_paths_raise_input_error_with_their_message(name):
+    call, message = _ERROR_PATHS[name]
+    with pytest.raises(InputError) as info:
+        call()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+
+
+def test_module_key_empty_path_and_mag_accessors():
+    assert canonical_key(_G) == canonical_key(_M) == "3;0>1;1<>2"
+    assert format_path(_G, ()) == ""
+    assert (_M.parents(1), _M.children(0), _M.spouses(1)) == ({0}, {1}, {2})
+    assert (_M.parents(0), _M.children(1), _M.spouses(0)) == (set(), set(), set())

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import time
 
 import pytest
 
@@ -79,6 +80,7 @@ def test_json_rejects_bad_documents():
             "each edge must be an object with fields 'u', 'v', 'type'",
         ),
         ('{"nodes": ["A", "B"], "extra": 1}', "unknown graph fields: ['extra']"),
+        ('{"nodes": ["A"], "edges": {}}', "'edges' must be a list"),
         (
             '{"nodes": ["A", "B"], "edges": [{"u": "A", "v": "B", "type": "directed"},'
             ' {"u": "B", "v": "A", "type": "bidirected"}]}',
@@ -174,6 +176,26 @@ def test_dot_round_trips_line_breaks_in_labels(brk):
     assert back == g and back.labels == g.labels
 
 
+def test_dot_reads_unquoted_names():
+    g = parse_dot("digraph {\n  A;\n  b_2;\n  b_2 -> A [dir=both];\n}\n")
+    assert g.labels == ("A", "b_2") and g.edges == (bidirected(0, 1),)
+
+
+def test_json_names_the_first_repeated_label_in_linear_time():
+    # 200,000 labels with the repeat last: a search that rescans the labels
+    # before each one takes minutes here
+    nodes = [f"v{i}" for i in range(199_999)] + ["v5"]
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        graph_from_json_dict({"nodes": nodes})
+    assert time.perf_counter() - start < 2.0
+    assert str(info.value) == "duplicate node label 'v5'"
+    # of two repeated labels, the one whose repeat comes first
+    with pytest.raises(ParseError) as info:
+        graph_from_json_dict({"nodes": ["a", "b", "c", "b", "a"]})
+    assert str(info.value) == "duplicate node label 'b'"
+
+
 def test_dot_rejects_garbage():
     with pytest.raises(ParseError):
         parse_dot("graph { }")
@@ -185,6 +207,9 @@ def test_dot_rejects_garbage():
         parse_dot('digraph {\n  "A";\n')
     with pytest.raises(ParseError, match="self-loop"):
         parse_dot('digraph {\n  "A";\n  "A" -> "A";\n}')
+    with pytest.raises(ParseError) as info:
+        parse_dot('digraph {\n  "A";\n  A;\n}')
+    assert str(info.value) == "duplicate node statement"
     # a repeated pair is reported only once every edge has resolved
     head = 'digraph {\n  "A";\n  "B";\n  "A" -> "B";\n  "B" -> "A";\n'
     for tail, message in (

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from magmoves import _kernels
+from magmoves import _kernels, graph
 from magmoves.enumeration import (
     _lemma1_holds,
     _lemma1_rows,
@@ -13,7 +14,12 @@ from magmoves.enumeration import (
 from magmoves.graph import is_mag
 from magmoves.separation import separation_signature
 
-from oracles import lemma1_by_paths, move_bits_by_legal_moves
+from oracles import (
+    directed_path_queue,
+    inducing_path_queue,
+    lemma1_by_paths,
+    move_bits_by_legal_moves,
+)
 from random_graphs import random_mag
 
 
@@ -151,3 +157,48 @@ def test_lemma1_rows_match_one_graph_and_the_path_oracle(n, failing):
                 assert want or not licensed[i] >> (x * n + y) & 1
                 fails += not want
     assert fails == failing
+
+
+def _assert_searches_match_twins(n, codes):
+    # for every single-node seed and every allowed set that leaves out at
+    # most one node
+    kinds = _kernels.node_rows(n, codes)
+    rows_of = np.stack(kinds).transpose(2, 0, 1).tolist()  # [graph][kind][node]
+    full = (1 << n) - 1
+    allowed_sets = [full] + [full & ~(1 << v) for v in range(n)]
+
+    def per_graph(mask):
+        return np.full(len(codes), mask, np.uint8)
+
+    for k, rows in enumerate(kinds):
+        for mask in range(full + 1):
+            want = _kernels._spread(list(rows), per_graph(mask)).tolist()
+            assert [graph._spread(g[k], mask) for g in rows_of] == want
+        for x in range(n):
+            for allowed in allowed_sets:
+                want = _kernels.chain_reach(
+                    list(rows), per_graph(1 << x), per_graph(allowed)
+                ).tolist()
+                assert [graph._reach(g[k], 1 << x, allowed) for g in rows_of] == want
+    for code, (_, ch, sp) in zip(codes.tolist(), rows_of):
+        g = graph_from_pair_code(n, code)
+        for x, y in itertools.permutations(range(n), 2):
+            assert graph._directed_path(g, x, y) == directed_path_queue(ch, x, y)
+            for allowed in allowed_sets:
+                assert graph._inducing_path(ch, sp, x, y, allowed) == (
+                    inducing_path_queue(ch, sp, x, y, allowed)
+                )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_graph_searches_match_their_vector_twins_exhaustively(n):
+    # every mixed graph on n nodes, cyclic ones included
+    _assert_searches_match_twins(n, np.arange(4 ** len(_kernels.pair_list(n))))
+
+
+def test_one_graph_searches_match_their_vector_twins_on_seeded_graphs():
+    # at n = 7 a popped node can have several unseen successors, so the
+    # order in which the path searches queue them shows in their paths
+    rng = random.Random(30)
+    codes = np.array([rng.randrange(4**21) for _ in range(300)], np.int64)
+    _assert_searches_match_twins(7, codes)

@@ -96,6 +96,23 @@ def test_set_level_queries(g_collider):
     )
 
 
+def test_set_level_queries_match_pairwise_verdicts():
+    # every mixed graph on n <= 4 nodes; every split of its nodes into
+    # sources, targets, conditioning set and the rest at n <= 3, and seeded
+    # splits at n = 4
+    rng = random.Random(30)
+    for n in (1, 2, 3, 4):
+        splits = list(itertools.product(range(4), repeat=n))
+        for code in range(4 ** (n * (n - 1) // 2)):
+            g = graph_from_pair_code(n, code)
+            for split in splits if n < 4 else rng.sample(splits, 12):
+                src, dst, given = (
+                    frozenset(v for v in range(n) if split[v] == k) for k in range(3)
+                )
+                want = not any(m_connected(g, s, t, given) for s in src for t in dst)
+                assert m_separated_sets(g, SeparationQuery(src, dst, given)) == want
+
+
 def test_set_level_validation():
     with pytest.raises(InputError):
         SeparationQuery(frozenset({0}), frozenset({0}))
